@@ -74,9 +74,12 @@ def profile_from_dict(data: Mapping) -> VertexProfile:
 def _load(path: str) -> Mapping:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the document must be a JSON object")
+    return data
 
 
 def _describe_labels(inst: Instance, labels) -> str:
@@ -129,7 +132,7 @@ def render_trace(node: TraceNode) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     inst = instance_from_dict(_load(args.path))
-    engine = Engine(max_nodes=args.max_nodes, jobs=args.jobs)
+    engine = Engine(max_nodes=args.max_nodes)
     if args.trace:
         value, node = engine.evaluate_traced(inst)
         for line in render_trace(node):
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="verify invariance under all root resolutions"
     )
     eval_parser.add_argument(
-        "--jobs", type=_positive, default=1, metavar="N", help="top-level worker threads"
+        "--jobs", type=_positive, default=1, metavar="N", help="ignored; evaluation is sequential"
     )
     eval_parser.add_argument(
         "--max-nodes",

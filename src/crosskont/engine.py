@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .conditions import (
     Count,
@@ -42,10 +41,12 @@ from .splits import (
     TWO_ZERO_SIDE2_FIXED,
     build_subinstances,
     enumerate_splits,
-    respecting_pairing,
 )
 
 DEFAULT_MAX_NODES = 1_000_000
+
+# (resolved cross-ratio index, pairing, line pair isolated on a degree-zero side or None)
+Choice = tuple[int, Pairing, Optional[tuple[int, int]]]
 
 
 class ValidationError(ValueError):
@@ -153,13 +154,33 @@ def admissible_line_pair(inst: Instance, last: int, a: int, b: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class _Choice:
-    """Root-level override of the resolved cross-ratio and pairing."""
+def resolution_choices(inst: Instance) -> Iterator[Choice]:
+    """Every admissible way to resolve a split instance, the default first.
 
-    last: int
-    pairing: Pairing
-    line_pair: tuple[int, int] | None = None
+    With point conditions: every cross-ratio, from the last one down,
+    under each of its three pairings.  Without points: every cross-ratio,
+    from the last one down, grouped along each admissible pair of its
+    multi line entries, which then sits alone on a degree-zero side.
+    """
+    for last in range(len(inst.crossratios) - 1, -1, -1):
+        cr = inst.crossratios[last]
+        if inst.points:
+            for pairing in all_pairings(cr):
+                yield last, pairing, None
+            continue
+        lines = [x for x in cr if inst.condition(x).kind == LINE]
+        for a, b in itertools.combinations(lines, 2):
+            if admissible_line_pair(inst, last, a, b):
+                yield last, Pairing.of((a, b), cr.entries - {a, b}), (a, b)
+
+
+def _isolates(inst: Instance, split: Split, line_pair: tuple[int, int]) -> bool:
+    """Whether the split puts the line pair alone on a fixed degree-zero side."""
+    a, b = line_pair
+    side = split.side1 if a in split.side1.labels else split.side2
+    fixed = TWO_ZERO_SIDE1_FIXED if side is split.side1 else TWO_ZERO_SIDE2_FIXED
+    side_lines = {x for x in side.labels if inst.condition(x).kind == LINE}
+    return split.kind == fixed and side.degree == 0 and side_lines == {a, b}
 
 
 @dataclass(frozen=True)
@@ -193,44 +214,41 @@ class TraceNode:
 
 
 class Engine:
-    """Memoized evaluator for counting instances.
+    """Memoized single-threaded evaluator for counting instances.
 
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
-    of the same sub-instance are computed once.  With ``jobs > 1`` the
-    top-level split terms are evaluated on a thread pool; results are
-    identical to the sequential ones.
+    of the same sub-instance are computed once.  Each split node
+    resolves the first of :func:`resolution_choices`.
     """
 
-    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES, jobs: int = 1) -> None:
+    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
         if max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-        if jobs < 1:
-            raise ValueError("jobs must be positive")
         self.max_nodes = max_nodes
-        self.jobs = jobs
         self._memo: dict[bytes, Count] = {}
         self._nodes = 0
 
-    def evaluate(self, inst: Instance) -> Count:
-        value, _ = self._eval(inst, trace=False, root=True)
+    def evaluate(self, inst: Instance, choice: Choice | None = None) -> Count:
+        """Count the curves of ``inst``.
+
+        ``choice``, one of :func:`resolution_choices`, overrides the
+        resolution at the root, whose value then bypasses the memo.
+        """
+        _check(inst)
+        value, _ = self._eval(inst, False, choice)
         return value
 
     def evaluate_traced(self, inst: Instance) -> tuple[Count, TraceNode]:
-        value, node = self._eval(inst, trace=True, root=True)
+        _check(inst)
+        value, node = self._eval(inst, True)
         assert node is not None
         return value, node
 
     def _eval(
-        self,
-        inst: Instance,
-        trace: bool,
-        root: bool = False,
-        override: Optional[_Choice] = None,
+        self, inst: Instance, trace: bool, choice: Choice | None = None
     ) -> tuple[Count, Optional[TraceNode]]:
-        check = validate(inst)
-        if not check:
-            raise ValidationError(check.reason)
-        key = canonical_key(inst) if override is None else None
+        # Sub-instances of a valid instance are valid by construction.
+        key = canonical_key(inst) if choice is None else None
         if key is not None and key in self._memo:
             value = self._memo[key]
             node = TraceNode(inst, "memo", value) if trace else None
@@ -245,119 +263,57 @@ class Engine:
         elif inst.degree == 0:
             value = base_degree_zero(inst)
             rule = "star"
-        elif inst.points:
-            value, node = self._split_with_points(inst, trace, root, override)
-            rule = "split"
         else:
-            value, node = self._split_without_points(inst, trace, root, override)
-            rule = "split"
+            if choice is None:
+                choice = next(resolution_choices(inst), None)
+            if choice is None:
+                value, rule = 0, "no line pair"
+            else:
+                value, node = self._split(inst, choice, trace)
+                rule = "split"
         if key is not None:
             self._memo[key] = value
         if trace and rule != "split":
             node = TraceNode(inst, rule, value)
         return value, node
 
-    def _terms(
-        self,
-        inst: Instance,
-        splits: list[Split],
-        trace: bool,
-        root: bool,
-    ) -> tuple[Count, list[TraceTerm]]:
-        pairs = [(split, build_subinstances(inst, split)) for split in splits]
-
-        def one(entry: tuple[Split, SubInstancePair]):
-            split, pair = entry
+    def _split(
+        self, inst: Instance, choice: Choice, trace: bool
+    ) -> tuple[Count, Optional[TraceNode]]:
+        last, pairing, line_pair = choice
+        splits = enumerate_splits(inst, last, pairing)
+        if line_pair is not None:
+            splits = [split for split in splits if _isolates(inst, split, line_pair)]
+        value = 0
+        terms = []
+        for split in splits:
+            pair = build_subinstances(inst, split)
             v1, n1 = self._eval(pair.side1, trace)
             v2, n2 = self._eval(pair.side2, trace)
-            return v1 * v2, (split, pair, n1, n2)
-
-        if root and self.jobs > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                evaluated = list(pool.map(one, pairs))
-        else:
-            evaluated = [one(entry) for entry in pairs]
-        total = sum(value for value, _ in evaluated)
-        terms = []
-        if trace:
-            for _, (split, pair, n1, n2) in evaluated:
+            value += v1 * v2
+            if trace:
                 assert n1 is not None and n2 is not None
                 terms.append(TraceTerm(split, pair, n1, n2))
-        return total, terms
-
-    def _split_with_points(
-        self,
-        inst: Instance,
-        trace: bool,
-        root: bool,
-        override: Optional[_Choice],
-    ) -> tuple[Count, Optional[TraceNode]]:
-        if override is not None:
-            last, pairing = override.last, override.pairing
-        else:
-            last = len(inst.crossratios) - 1
-            pairing = respecting_pairing(inst.crossratios[last])
-        splits = enumerate_splits(inst, last, pairing)
-        value, terms = self._terms(inst, splits, trace, root)
-        node = (
-            TraceNode(inst, "split", value, last, pairing, tuple(terms)) if trace else None
-        )
-        return value, node
-
-    def _split_without_points(
-        self,
-        inst: Instance,
-        trace: bool,
-        root: bool,
-        override: Optional[_Choice],
-    ) -> tuple[Count, Optional[TraceNode]]:
-        def line_entries(j: int) -> list[int]:
-            return [x for x in inst.crossratios[j] if inst.condition(x).kind == LINE]
-
-        if override is not None:
-            last = override.last
-            assert override.line_pair is not None
-            a, b = override.line_pair
-            pairing = override.pairing
-        else:
-            chosen = None
-            for j in range(len(inst.crossratios) - 1, -1, -1):
-                for a, b in itertools.combinations(line_entries(j), 2):
-                    if admissible_line_pair(inst, j, a, b):
-                        chosen = (j, a, b)
-                        break
-                if chosen is not None:
-                    break
-            if chosen is None:
-                node = TraceNode(inst, "no line pair", 0) if trace else None
-                return 0, node
-            last, a, b = chosen
-            rest = inst.crossratios[last].entries - {a, b}
-            pairing = Pairing.of((a, b), rest)
-        kept = []
-        for split in enumerate_splits(inst, last, pairing):
-            side = split.side1 if a in split.side1.labels else split.side2
-            fixed = TWO_ZERO_SIDE1_FIXED if side is split.side1 else TWO_ZERO_SIDE2_FIXED
-            if split.kind != fixed:
-                continue
-            side_lines = {x for x in side.labels if inst.condition(x).kind == LINE}
-            if side.degree == 0 and side_lines == {a, b}:
-                kept.append(split)
-        value, terms = self._terms(inst, kept, trace, root)
         node = (
             TraceNode(inst, "split", value, last, pairing, tuple(terms)) if trace else None
         )
         return value, node
 
 
-def evaluate(inst: Instance, *, max_nodes: int = DEFAULT_MAX_NODES, jobs: int = 1) -> Count:
+def _check(inst: Instance) -> None:
+    check = validate(inst)
+    if not check:
+        raise ValidationError(check.reason)
+
+
+def evaluate(inst: Instance, *, max_nodes: int = DEFAULT_MAX_NODES) -> Count:
     """Count the curves of a valid instance.
 
     Raises :class:`ValidationError` for ill posed instances and
     :class:`ResourceLimitError` when the recursion exceeds
     ``max_nodes`` distinct evaluations.
     """
-    return Engine(max_nodes=max_nodes, jobs=jobs).evaluate(inst)
+    return Engine(max_nodes=max_nodes).evaluate(inst)
 
 
 @dataclass(frozen=True)
@@ -391,38 +347,18 @@ def evaluate_invariance_battery(
 ) -> BatteryReport:
     """Evaluate an instance under every admissible root resolution.
 
-    With point conditions this varies the resolved cross-ratio over all
-    of them and the pairing over all three groupings; without points it
-    varies the resolved cross-ratio over those containing two multi
-    line entries and the grouping over every admissible line pair
-    inside it.  Each
-    variant runs on a fresh engine with the override applied at the
-    root only, so no memoized value crosses variants.  The report's
-    ``ok`` flag says whether every variant agreed with the default
-    evaluation.
+    The variants are :func:`resolution_choices` of the instance: with
+    point conditions every cross-ratio under all three groupings,
+    without points every cross-ratio grouped along each admissible
+    pair of its multi line entries.  Each variant runs on a fresh
+    engine with the choice applied at the root only, so no memoized
+    value crosses variants.  The report's ``ok`` flag says whether
+    every variant agreed with the default evaluation.
     """
     value = Engine(max_nodes=max_nodes).evaluate(inst)
     variants: list[BatteryVariant] = []
     if inst.crossratios and inst.degree > 0:
-        if inst.points:
-            for last, cr in enumerate(inst.crossratios):
-                for pairing in all_pairings(cr):
-                    engine = Engine(max_nodes=max_nodes)
-                    got, _ = engine._eval(
-                        inst, trace=False, root=True, override=_Choice(last, pairing)
-                    )
-                    variants.append(BatteryVariant(last, pairing, got))
-        else:
-            for last, cr in enumerate(inst.crossratios):
-                lines = [x for x in cr if inst.condition(x).kind == LINE]
-                for a, b in itertools.combinations(lines, 2):
-                    if not admissible_line_pair(inst, last, a, b):
-                        continue
-                    rest = cr.entries - {a, b}
-                    pairing = Pairing.of((a, b), rest)
-                    engine = Engine(max_nodes=max_nodes)
-                    got, _ = engine._eval(
-                        inst, trace=False, root=True, override=_Choice(last, pairing, (a, b))
-                    )
-                    variants.append(BatteryVariant(last, pairing, got))
+        for choice in resolution_choices(inst):
+            got = Engine(max_nodes=max_nodes).evaluate(inst, choice)
+            variants.append(BatteryVariant(choice[0], choice[1], got))
     return BatteryReport(inst, value, tuple(variants))

@@ -17,11 +17,11 @@ which the cross-ratios are resolved and of the chosen pairings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import Label, Pairing, canonical_pairing, CrossRatio
+from .splits import placements
 
 SlotId = int
 
@@ -122,51 +122,6 @@ class VertexProfile:
             )
 
 
-def _partitions(
-    profile: VertexProfile, target: int, pairing: Pairing
-) -> list[tuple[frozenset[SlotId], tuple[Quadruple, ...], frozenset[SlotId], tuple[Quadruple, ...], SlotId]]:
-    """Valid ways to pull the profile apart along ``target``.
-
-    Yields (side 1 slots, side 1 quadruples, side 2 slots, side 2
-    quadruples, slot id of the new connecting edge).  Side 1 holds the
-    pairing's first pair and the new edge is appended to both sides.
-    """
-    profile.check_valence()
-    quad = profile.quadruple(target)
-    if pairing.entries != quad.entries:
-        raise ValueError("pairing does not match the resolved cross-ratio")
-    first = frozenset(quad.slot(entry) for entry in pairing.first)
-    second = frozenset(quad.slot(entry) for entry in pairing.second)
-    rest = sorted(profile.slots - quad.slots)
-    new_slot = max(profile.slots) + 1
-    others = [q for q in profile.quadruples if q.cr != target]
-    results = []
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            side1 = first | frozenset(extra)
-            side2 = profile.slots - side1
-            quads1: list[Quadruple] = []
-            quads2: list[Quadruple] = []
-            ok = True
-            for q in others:
-                c = len(q.slots & side1)
-                if c == 2:
-                    ok = False
-                    break
-                keep = side1 if c >= 3 else side2
-                adapted = tuple(
-                    (entry, slot if slot in keep else new_slot) for entry, slot in q.slot_of
-                )
-                (quads1 if c >= 3 else quads2).append(Quadruple(q.cr, adapted, q.pairing))
-            if not ok:
-                continue
-            # Both child valence equations are equivalent given the totals.
-            if len(side1) + 1 != 3 + len(quads1):
-                continue
-            results.append((side1, tuple(quads1), side2, tuple(quads2), new_slot))
-    return results
-
-
 def resolve_once(
     profile: VertexProfile, target: int, pairing: Pairing
 ) -> list[tuple[VertexProfile, VertexProfile]]:
@@ -189,11 +144,30 @@ def resolve_once(
         cross-ratios follow the side holding at least three of their
         slots, the odd slot out replaced by the new edge.
     """
+    profile.check_valence()
+    quad = profile.quadruple(target)
+    if pairing.entries != quad.entries:
+        raise ValueError("pairing does not match the resolved cross-ratio")
+    first = frozenset(quad.slot(entry) for entry in pairing.first)
+    second = frozenset(quad.slot(entry) for entry in pairing.second)
+    rest = sorted(profile.slots - quad.slots)
+    new_slot = max(profile.slots) + 1
+    others = [q for q in profile.quadruples if q.cr != target]
+
+    def child(side: frozenset[SlotId], routed: list[int]) -> VertexProfile:
+        quads = []
+        for q in (others[i] for i in routed):
+            slot_of = tuple(
+                (entry, slot if slot in side else new_slot) for entry, slot in q.slot_of
+            )
+            quads.append(Quadruple(q.cr, slot_of, q.pairing))
+        return VertexProfile(side | {new_slot}, tuple(quads))
+
     out = []
-    for side1, quads1, side2, quads2, new_slot in _partitions(profile, target, pairing):
-        child1 = VertexProfile(side1 | {new_slot}, quads1)
-        child2 = VertexProfile(side2 | {new_slot}, quads2)
-        out.append((child1, child2))
+    for side1, side2, to1, to2 in placements([q.slots for q in others], first, second, rest):
+        # Both child valence equations are equivalent given the totals.
+        if len(side1) + 1 == 3 + len(to1):
+            out.append((child(side1, to1), child(side2, to2)))
     return out
 
 
@@ -218,27 +192,24 @@ class ResolutionTree:
 
 
 def _grow(
-    slots: frozenset[SlotId],
+    profile: VertexProfile,
     leaves_of: dict[SlotId, frozenset[SlotId]],
-    quads: tuple[Quadruple, ...],
     pairings: Mapping[int, Pairing],
     order: Sequence[int],
     anchor: SlotId,
 ) -> list[tuple[frozenset[frozenset[SlotId]], dict[int, frozenset[SlotId]]]]:
-    if not quads:
+    if not profile.quadruples:
         return [(frozenset(), {})]
-    present = {q.cr for q in quads}
+    present = {q.cr for q in profile.quadruples}
     target = next(cr for cr in order if cr in present)
-    profile = VertexProfile(slots, quads)
+    new_slot = max(profile.slots) + 1
     results = []
-    for side1, quads1, side2, quads2, new_slot in _partitions(profile, target, pairings[target]):
-        below1 = frozenset().union(*(leaves_of[s] for s in side1))
-        below2 = frozenset().union(*(leaves_of[s] for s in side2))
+    for child1, child2 in resolve_once(profile, target, pairings[target]):
+        below1 = frozenset().union(*(leaves_of[s] for s in child1.slots - {new_slot}))
+        below2 = frozenset().union(*(leaves_of[s] for s in child2.slots - {new_slot}))
         split = below2 if anchor in below1 else below1
-        sub1 = dict(leaves_of) | {new_slot: below2}
-        sub2 = dict(leaves_of) | {new_slot: below1}
-        left = _grow(side1 | {new_slot}, sub1, quads1, pairings, order, anchor)
-        right = _grow(side2 | {new_slot}, sub2, quads2, pairings, order, anchor)
+        left = _grow(child1, dict(leaves_of) | {new_slot: below2}, pairings, order, anchor)
+        right = _grow(child2, dict(leaves_of) | {new_slot: below1}, pairings, order, anchor)
         for splits1, edges1 in left:
             for splits2, edges2 in right:
                 results.append(
@@ -283,7 +254,7 @@ def total_resolutions(
     resolution_order = tuple(order) if order is not None else tuple(q.cr for q in profile.quadruples)
     anchor = min(profile.slots)
     leaves_of = {slot: frozenset({slot}) for slot in profile.slots}
-    raw = _grow(profile.slots, leaves_of, profile.quadruples, chosen, resolution_order, anchor)
+    raw = _grow(profile, leaves_of, chosen, resolution_order, anchor)
     by_splits: dict[frozenset[frozenset[SlotId]], ResolutionTree] = {}
     for splits, edges in raw:
         if splits not in by_splits:

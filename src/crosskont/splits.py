@@ -18,24 +18,85 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .conditions import (
+    FREE,
+    POINT,
     CrossRatio,
     EndCondition,
     Instance,
     Label,
     Pairing,
+    canonical_pairing as respecting_pairing,
 )
 
 ONE_ONE = "1/1"
 TWO_ZERO_SIDE1_FIXED = "2/0 side 1 fixed"
 TWO_ZERO_SIDE2_FIXED = "2/0 side 2 fixed"
 
+# The contributing deficiency vectors and the split kind each one names.
+KIND_OF_DEFICIENCIES = {
+    (1, 1): ONE_ONE,
+    (0, 2): TWO_ZERO_SIDE1_FIXED,
+    (2, 0): TWO_ZERO_SIDE2_FIXED,
+}
+
 _E_CONDITIONS = {
     ONE_ONE: (EndCondition.line(1), EndCondition.line(1)),
     TWO_ZERO_SIDE1_FIXED: (EndCondition.free(), EndCondition.point()),
     TWO_ZERO_SIDE2_FIXED: (EndCondition.point(), EndCondition.free()),
 }
+
+
+def deficiency(degree: int, kinds: Sequence[str], crossratios: int) -> int:
+    """How far one side is from being zero-dimensional on its own.
+
+    ``kinds`` lists the condition kinds of the side's contracted ends
+    and ``crossratios`` counts the cross-ratios that follow the side.
+    """
+    return 3 * degree - (kinds.count(POINT) + crossratios - kinds.count(FREE))
+
+
+def route_groups(
+    groups: Sequence[frozenset], side1: frozenset
+) -> tuple[list[int], list[int]] | None:
+    """Send each four-entry group to the side holding at least three of its entries.
+
+    ``side2`` is taken to hold every entry outside ``side1``.  Returns
+    the indices of the groups on side 1 and on side 2, in order, or
+    ``None`` when some group has two entries on each side: no curve
+    keeps such a cross-ratio satisfied across the new edge.
+    """
+    to1: list[int] = []
+    to2: list[int] = []
+    for j, entries in enumerate(groups):
+        near = len(entries & side1)
+        if near == 2:
+            return None
+        (to1 if near >= 3 else to2).append(j)
+    return to1, to2
+
+
+def placements(
+    groups: Sequence[frozenset],
+    pinned1: frozenset,
+    pinned2: frozenset,
+    movable: Sequence,
+) -> Iterator[tuple[frozenset, frozenset, list[int], list[int]]]:
+    """Every placement of ``movable`` beside the two pinned pairs.
+
+    Yields (side 1, side 2, groups on side 1, groups on side 2) by
+    growing number of movable entries on side 1, then in combination
+    order, skipping placements that :func:`route_groups` rejects.
+    """
+    everything = frozenset(movable)
+    for k in range(len(movable) + 1):
+        for chosen in itertools.combinations(movable, k):
+            side1 = pinned1 | frozenset(chosen)
+            routed = route_groups(groups, side1)
+            if routed is not None:
+                yield side1, pinned2 | (everything - side1), routed[0], routed[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +108,8 @@ class SplitSide:
     crossratios: frozenset[int]
 
     def deficiency(self, inst: Instance) -> int:
-        points = sum(1 for x in self.labels if inst.condition(x).kind == "point")
-        free = sum(1 for x in self.labels if inst.condition(x).kind == "free")
-        return 3 * self.degree - (points + len(self.crossratios) - free)
+        kinds = [inst.condition(x).kind for x in self.labels]
+        return deficiency(self.degree, kinds, len(self.crossratios))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +134,6 @@ class SubInstancePair:
     side2: Instance
     e1: Label
     e2: Label
-
-
-def respecting_pairing(cr: CrossRatio) -> Pairing:
-    """The pairing grouping the two smallest entries of ``cr``.
-
-    Summing over splits that put this pairing's first pair on side 1
-    visits every curve once, without the double count that symmetric
-    splits would otherwise cause.
-    """
-    a, b, c, d = cr.ordered
-    return Pairing.of((a, b), (c, d))
 
 
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
@@ -113,40 +162,29 @@ def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]
     resolved = inst.crossratios[last]
     if pairing.entries != resolved.entries:
         raise ValueError("pairing does not match the resolved cross-ratio")
-    pinned1 = frozenset(pairing.first)
-    pinned2 = frozenset(pairing.second)
+    kind_of = {label: cond.kind for label, cond in inst.conditions}
+    others = [j for j in range(len(inst.crossratios)) if j != last]
+    groups = [inst.crossratios[j].entries for j in others]
     movable = sorted(set(inst.labels) - resolved.entries)
-    others = [(j, cr) for j, cr in enumerate(inst.crossratios) if j != last]
     splits: list[Split] = []
-    for d1 in range(inst.degree + 1):
+    for labels1, labels2, to1, to2 in placements(
+        groups, frozenset(pairing.first), frozenset(pairing.second), movable
+    ):
+        kinds1 = [kind_of[x] for x in labels1]
+        kinds2 = [kind_of[x] for x in labels2]
+        # On a valid instance the two deficiencies sum to 2, so side 1's,
+        # 3 d1 - k1 with k1 = -deficiency(0, ...), lies in 0..2: d1 = ceil(k1 / 3).
+        d1 = -(deficiency(0, kinds1, len(to1)) // 3)
         d2 = inst.degree - d1
-        for chosen in itertools.chain.from_iterable(
-            itertools.combinations(movable, k) for k in range(len(movable) + 1)
-        ):
-            labels1 = pinned1 | frozenset(chosen)
-            labels2 = pinned2 | (frozenset(movable) - frozenset(chosen))
-            crs1, crs2 = [], []
-            ok = True
-            for j, cr in others:
-                c = len(cr.entries & labels1)
-                if c == 2:
-                    ok = False
-                    break
-                (crs1 if c >= 3 else crs2).append(j)
-            if not ok:
-                continue
-            side1 = SplitSide(d1, labels1, frozenset(crs1))
-            side2 = SplitSide(d2, labels2, frozenset(crs2))
-            delta = (side1.deficiency(inst), side2.deficiency(inst))
-            if delta == (1, 1):
-                kind = ONE_ONE
-            elif delta == (0, 2):
-                kind = TWO_ZERO_SIDE1_FIXED
-            elif delta == (2, 0):
-                kind = TWO_ZERO_SIDE2_FIXED
-            else:
-                continue
-            splits.append(Split(side1, side2, kind))
+        kind = KIND_OF_DEFICIENCIES.get(
+            (deficiency(d1, kinds1, len(to1)), deficiency(d2, kinds2, len(to2)))
+        )
+        if kind is None or not 0 <= d1 <= inst.degree:
+            continue
+        side1 = SplitSide(d1, labels1, frozenset(others[i] for i in to1))
+        side2 = SplitSide(d2, labels2, frozenset(others[i] for i in to2))
+        splits.append(Split(side1, side2, kind))
+    splits.sort(key=lambda split: split.side1.degree)
     return splits
 
 

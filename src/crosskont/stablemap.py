@@ -45,16 +45,19 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .conditions import Count, CrossRatio, Label, Pairing, canonical_pairing
+from .conditions import FREE, LINE, POINT, Count, CrossRatio, Label, Pairing, canonical_pairing
 from .resolution import Quadruple, VertexProfile, cross_ratio_multiplicity
-from .splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED
+from .splits import (
+    KIND_OF_DEFICIENCIES,
+    ONE_ONE,
+    TWO_ZERO_SIDE1_FIXED,
+    deficiency,
+    route_groups,
+)
 
 Vec = tuple[int, int]
 
-POINT = "point"
-LINE = "line"
 DEGENERATED = "degenerated line"
-FREE = "free"
 
 _DEGENERATED_NORMALS: dict[str, Vec] = {"10": (1, 0), "01": (0, 1), "1-1": (1, -1)}
 _STANDARD_DIRECTIONS: tuple[Vec, Vec, Vec] = ((-1, 0), (0, -1), (1, 1))
@@ -516,18 +519,17 @@ def _side_map(
     fresh: Label,
     tag: EndTag,
 ) -> tuple[StableMap, list[CrossRatio]]:
-    """One side of a cut, with the new end ``fresh`` tagged at ``attach``."""
+    """One side of a cut, with the new end ``fresh`` tagged at ``attach``.
+
+    ``crossratios`` are those that follow this side; each has its entry
+    from the other side, if any, replaced by ``fresh``.
+    """
     vertices = tuple(v for v in map.vertices if v in component)
     edges = tuple(e for e in map.edges if e.tail in component and e.head in component)
     ends = [e for e in map.ends if e.vertex in component]
-    ends.append(End(fresh, attach, (0, 0), tag))
     own = {end.label for end in ends}
-    adapted = []
-    for cr in crossratios:
-        inside = [x for x in cr if x in own]
-        if len(inside) < 3:
-            continue
-        adapted.append(CrossRatio(frozenset(x if x in own else fresh for x in cr)))
+    ends.append(End(fresh, attach, (0, 0), tag))
+    adapted = [CrossRatio(frozenset(x if x in own else fresh for x in cr)) for cr in crossratios]
     base = min(
         (end.label for end in ends if end.tag is not None and end.tag.kind == POINT),
         default=fresh,
@@ -563,46 +565,39 @@ def check_split_multiplicity(
     component2 = _component(map, cut, cut.head)
     fresh1 = max(end.label for end in map.ends) + 1
     fresh2 = fresh1 + 1
+    labels1 = frozenset(end.label for end in map.ends if end.vertex in component1)
+    routed = route_groups([cr.entries for cr in crossratios], labels1)
+    if routed is None:
+        raise ValueError(f"a cross-ratio has two entries on each side of edge {edge_id!r}")
+    crs1 = [crossratios[j] for j in routed[0]]
+    crs2 = [crossratios[j] for j in routed[1]]
 
-    def side(component: set[str], attach: str, fresh: Label, tag: EndTag):
-        return _side_map(map, crossratios, component, attach, fresh, tag)
-
-    def deficiency(component: set[str]) -> int:
+    def side_deficiency(component: set[str], crs: list[CrossRatio]) -> int:
         ends = [e for e in map.ends if e.vertex in component]
         degree = sum(1 for e in ends if e.direction == (-1, 0))
-        points = sum(1 for e in ends if e.tag is not None and e.tag.kind == POINT)
-        frees = sum(1 for e in ends if e.tag is not None and e.tag.kind == FREE)
-        crs = sum(
-            1 for cr in crossratios if sum(1 for x in cr if map.end(x).vertex in component) >= 3
-        )
-        return 3 * degree - (points + crs - frees)
+        return deficiency(degree, [e.tag.kind for e in ends if e.tag is not None], len(crs))
 
-    delta = (deficiency(component1), deficiency(component2))
-    if delta == (0, 2) or delta == (2, 0):
-        kind = TWO_ZERO_SIDE1_FIXED if delta == (0, 2) else TWO_ZERO_SIDE2_FIXED
-        tag1 = EndTag.free() if delta == (0, 2) else EndTag.point()
-        tag2 = EndTag.point() if delta == (0, 2) else EndTag.free()
-        side1, crs1 = side(component1, cut.tail, fresh1, tag1)
-        side2, crs2 = side(component2, cut.head, fresh2, tag2)
-        m1 = multiplicity(side1, crs1)
-        m2 = multiplicity(side2, crs2)
-        return SplitReport(
-            kind,
-            full,
-            m1 * m2,
-            (("side 1", m1), ("side 2", m2)),
-        )
-    if delta != (1, 1):
+    delta = (side_deficiency(component1, crs1), side_deficiency(component2, crs2))
+    kind = KIND_OF_DEFICIENCIES.get(delta)
+    if kind is None:
         raise ValueError(f"deficiencies {delta} match no splitting identity")
+    sides = ((crs1, component1, cut.tail, fresh1), (crs2, component2, cut.head, fresh2))
+
+    def cut_side(which: int, tag: EndTag) -> tuple[StableMap, Count]:
+        crs, component, attach, fresh = sides[which - 1]
+        side, adapted = _side_map(map, crs, component, attach, fresh, tag)
+        return side, multiplicity(side, adapted)
+
+    if kind != ONE_ONE:
+        fixed1 = kind == TWO_ZERO_SIDE1_FIXED
+        _, m1 = cut_side(1, EndTag.free() if fixed1 else EndTag.point())
+        _, m2 = cut_side(2, EndTag.point() if fixed1 else EndTag.free())
+        return SplitReport(kind, full, m1 * m2, (("side 1", m1), ("side 2", m2)))
     values: dict[tuple[int, str], Count] = {}
     determinants: dict[tuple[int, str], int] = {}
-    for which, component, attach, fresh in (
-        (1, component1, cut.tail, fresh1),
-        (2, component2, cut.head, fresh2),
-    ):
+    for which in (1, 2):
         for code in ("10", "01", "1-1"):
-            variant, crs = side(component, attach, fresh, EndTag.degenerated(code))
-            values[which, code] = multiplicity(variant, crs)
+            variant, values[which, code] = cut_side(which, EndTag.degenerated(code))
             determinants[which, code] = ev_matrix(variant).det()
     predicted = abs(values[1, "10"] * values[2, "01"] - values[1, "01"] * values[2, "10"])
     relations = tuple(
@@ -619,36 +614,38 @@ def stablemap_from_dict(data: Mapping) -> tuple[StableMap, list[CrossRatio]]:
     """Parse a ``stablemap/1`` document into a map and its cross-ratios."""
     if data.get("schema") != "stablemap/1":
         raise ValueError(f"expected schema stablemap/1, got {data.get('schema')!r}")
-    vertices = tuple(data["vertices"])
-    edges = tuple(
-        BoundedEdge(
-            e["id"],
-            e["tail"],
-            e["head"],
-            (e["direction"][0], e["direction"][1]),
-            e.get("weight", 1),
+    try:
+        vertices = tuple(data["vertices"])
+        edges = tuple(
+            BoundedEdge(
+                e["id"],
+                e["tail"],
+                e["head"],
+                (e["direction"][0], e["direction"][1]),
+                e.get("weight", 1),
+            )
+            for e in data["edges"]
         )
-        for e in data["edges"]
-    )
-    ends = []
-    for item in data["ends"]:
-        condition = item.get("condition")
-        tag = None
-        if condition is not None:
-            kind = condition.get("kind")
-            if kind == "point":
-                tag = EndTag.point()
-            elif kind == "line":
-                tag = EndTag.line(tuple(condition["normal"]), condition.get("weight", 1))
-            elif kind == "degenerated line":
-                tag = EndTag.degenerated(condition["type"])
-            elif kind == "free":
-                tag = EndTag.free()
-            else:
-                raise ValueError(f"end {item['label']}: unknown condition kind {kind!r}")
-        ends.append(
-            End(item["label"], item["vertex"], (item["direction"][0], item["direction"][1]), tag)
-        )
-    map = StableMap(vertices, edges, tuple(ends), data["base"])
-    crossratios = [CrossRatio.of(*entry) for entry in data.get("crossratios", [])]
+        ends = []
+        for item in data["ends"]:
+            condition = item.get("condition")
+            tag = None
+            if condition is not None:
+                kind = condition.get("kind")
+                if kind == "point":
+                    tag = EndTag.point()
+                elif kind == "line":
+                    tag = EndTag.line(tuple(condition["normal"]), condition.get("weight", 1))
+                elif kind == "degenerated line":
+                    tag = EndTag.degenerated(condition["type"])
+                elif kind == "free":
+                    tag = EndTag.free()
+                else:
+                    raise ValueError(f"end {item['label']}: unknown condition kind {kind!r}")
+            direction = (item["direction"][0], item["direction"][1])
+            ends.append(End(item["label"], item["vertex"], direction, tag))
+        map = StableMap(vertices, edges, tuple(ends), data["base"])
+        crossratios = [CrossRatio.of(*entry) for entry in data.get("crossratios", [])]
+    except KeyError as missing:
+        raise ValueError(f"missing field {missing} in stablemap file") from None
     return map, crossratios

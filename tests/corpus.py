@@ -85,6 +85,15 @@ def build_corpus(seed: int = SEED, size: int = SIZE) -> list[Instance]:
     return base + _random_fill(rng, size - len(base), seen)
 
 
+def one_cross_ratio_family(degree: int, wa: int = 1, wb: int = 1) -> Instance:
+    """3d - 2 points, lines a and b of weights wa, wb and the cross-ratio {p1, p2, a, b}."""
+    n = 3 * degree - 2
+    a, b = n + 1, n + 2
+    return Instance.build(
+        degree, points=range(1, n + 1), lines={a: wa, b: wb}, crossratios=[[1, 2, a, b]]
+    )
+
+
 CORPUS = build_corpus()
 
 SMALL = [inst for inst in CORPUS if len(inst.labels) <= 8]

@@ -165,6 +165,30 @@ def test_wrong_schema_is_rejected(capsys, tmp_path):
     assert "expected schema stablemap/1" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "multcr", "mult"])
+def test_non_object_document_is_rejected(capsys, tmp_path, command):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"schema": "instance/1"}]))
+    code, out, err = run(capsys, command, listed)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "listed.json: the document must be a JSON object" in err
+
+
+@pytest.mark.parametrize("field", ["vertices", "edges", "ends"])
+def test_map_missing_a_field_is_rejected(capsys, tmp_path, field):
+    document = json.loads((FIXTURES / "c2_01.json").read_text())
+    del document[field]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(document))
+    code, out, err = run(capsys, "mult", partial)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"missing field '{field}' in stablemap file" in err
+
+
 def test_missing_file_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "eval", tmp_path / "nowhere.json")
     assert code == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from crosskont import (
 )
 from crosskont.engine import Engine, base_degree_zero, base_no_crossratios
 
-from corpus import CORPUS, SMALL
+from corpus import CORPUS, SMALL, one_cross_ratio_family
 
 WORKED = Instance.build(
     2, points=[1, 2, 3], lines={4: 1, 5: 1}, crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]]
@@ -203,9 +204,20 @@ def test_trace_marks_memoized_hits():
     assert node.value == 6
 
 
-def test_parallel_evaluation_matches_serial():
-    for inst in (WORKED, WORKED23, *SMALL[:6]):
-        assert evaluate(inst, jobs=4) == evaluate(inst)
+def _perfbench_oracles():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
+def test_one_cross_ratio_family_matches_the_closed_form(degree, weights):
+    # the Gathmann-Markwig closed form shares no code with the engine
+    expected = _perfbench_oracles().cr1_closed_form(degree, *weights)
+    assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
 
 
 @given(data=st.data())

@@ -20,7 +20,7 @@ from crosskont import (
 from crosskont.conditions import all_pairings
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED, Split, SplitSide
 
-from corpus import SMALL
+from corpus import SMALL, one_cross_ratio_family
 
 WORKED = Instance.build(
     2, points=[1, 2, 3], lines={4: 1, 5: 1}, crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]]
@@ -145,6 +145,19 @@ def test_splits_match_brute_force_on_small_instances():
                 assert set(got) == brute_splits(inst, last, pairing)
                 checked += 1
     assert checked >= 50
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_splits_match_brute_force_on_the_one_cross_ratio_family(degree):
+    # beyond the small corpus: side 1's degree is read off its conditions
+    inst = one_cross_ratio_family(degree)
+    kept = 0
+    for pairing in all_pairings(inst.crossratios[0]):
+        got = enumerate_splits(inst, 0, pairing)
+        assert len(set(got)) == len(got)
+        assert set(got) == brute_splits(inst, 0, pairing)
+        kept += len(got)
+    assert kept > 0
 
 
 def test_sub_instances_are_well_posed():
