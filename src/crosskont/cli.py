@@ -29,7 +29,7 @@ import json
 import sys
 from typing import Mapping, Sequence
 
-from .conditions import Instance, LINE, POINT
+from .conditions import Instance, LINE, POINT, json_checked
 from .engine import (
     DEFAULT_MAX_NODES,
     Engine,
@@ -49,13 +49,19 @@ def instance_from_dict(data: Mapping) -> Instance:
     if data.get("schema") != "instance/1":
         raise ValueError(f"expected schema instance/1, got {data.get('schema')!r}")
     try:
-        lines = [(item["label"], item.get("weight", 1)) for item in data.get("lines", [])]
+        lines = [
+            (
+                json_checked(item["label"], "line label"),
+                json_checked(item.get("weight", 1), "line weight"),
+            )
+            for item in json_checked(data.get("lines", []), "lines", 0, leaf=dict)
+        ]
         return Instance.build(
-            data["degree"],
-            points=data.get("points", []),
+            json_checked(data["degree"], "degree"),
+            points=json_checked(data.get("points", []), "points", 0),
             lines=lines,
-            free=data.get("free", []),
-            crossratios=data.get("crossratios", []),
+            free=json_checked(data.get("free", []), "free", 0),
+            crossratios=json_checked(data.get("crossratios", []), "crossratios", 0, 0),
         )
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in instance file") from None
@@ -66,7 +72,10 @@ def profile_from_dict(data: Mapping) -> VertexProfile:
     if data.get("schema") != "profile/1":
         raise ValueError(f"expected schema profile/1, got {data.get('schema')!r}")
     try:
-        return VertexProfile.of(data["slots"], data.get("crossratios", []))
+        return VertexProfile.of(
+            json_checked(data["slots"], "slots", 0),
+            json_checked(data.get("crossratios", []), "crossratios", 0, 0),
+        )
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in profile file") from None
 

@@ -17,8 +17,9 @@ memoization.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 Label = int
 Count = int
@@ -119,14 +120,6 @@ class Pairing:
     @property
     def entries(self) -> frozenset[Label]:
         return frozenset(self.first) | frozenset(self.second)
-
-    def side_of(self, label: Label) -> int:
-        """1 if ``label`` sits in the first pair, 2 in the second."""
-        if label in self.first:
-            return 1
-        if label in self.second:
-            return 2
-        raise KeyError(label)
 
 
 def all_pairings(cr: CrossRatio) -> tuple[Pairing, Pairing, Pairing]:
@@ -284,69 +277,43 @@ def validate(inst: Instance) -> Validation:
 _KIND_RANK = {POINT: 0, LINE: 1, FREE: 2}
 
 
-def _refine(inst: Instance) -> list[list[Label]]:
-    """Partition labels into blocks stable under condition and membership data."""
-    crs = [cr.entries for cr in inst.crossratios]
-    color: dict[Label, object] = {
-        label: (_KIND_RANK[cond.kind], cond.weight, sum(label in cr for cr in crs))
-        for label, cond in inst.conditions
-    }
-    while True:
-        sig = {
-            label: (
-                color[label],
-                tuple(
-                    sorted(
-                        tuple(sorted(repr(color[other]) for other in cr))
-                        for cr in crs
-                        if label in cr
-                    )
-                ),
-            )
-            for label in inst.labels
-        }
-        ranking = {value: rank for rank, value in enumerate(sorted(set(map(repr, sig.values()))))}
-        new_color = {label: ranking[repr(sig[label])] for label in inst.labels}
-        if len(set(new_color.values())) == len(set(map(repr, color.values()))):
-            break
-        color = new_color
-    blocks: dict[int, list[Label]] = {}
-    for label in inst.labels:
-        blocks.setdefault(new_color[label], []).append(label)
-    return [sorted(blocks[c]) for c in sorted(blocks)]
-
-
-def _encode(inst: Instance, order: list[Label]) -> tuple:
-    index = {label: i for i, label in enumerate(order)}
-    conds = tuple(
-        (index[label], _KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions
-    )
-    crs = tuple(sorted(tuple(sorted(index[x] for x in cr.entries)) for cr in inst.crossratios))
-    return (inst.degree, tuple(sorted(conds)), crs)
-
-
 def canonical_key(inst: Instance) -> bytes:
     """Fingerprint invariant under relabelling of the contracted ends.
 
-    Two instances that differ only by a bijection of their labels (and
-    by the listed order of their cross-ratios) get equal keys, and
-    instances with different condition data get distinct keys.  Labels
-    are first split by condition kind, weight and cross-ratio
-    memberships, the partition is refined to a fixpoint, and the
-    lexicographically least encoding over the remaining block
-    symmetries is returned.
+    With the cross-ratios listed in some order, an instance is fixed up to
+    relabelling by its degree and the multiset of (kind rank, weight,
+    membership vector) over its labels; the vector says which listed
+    cross-ratios hold the label.  The key takes the least such multiset
+    over the listings that sort the cross-ratios by the sorted (kind
+    rank, weight, membership count) of their entries, permuting only
+    runs of equal signatures, so its cost is factorial only in those.
     """
-    blocks = _refine(inst)
-    in_some_cr = set().union(*(cr.entries for cr in inst.crossratios)) if inst.crossratios else set()
-    # Blocks disjoint from every cross-ratio are fully interchangeable.
-    choices = [
-        [tuple(block)] if not (set(block) & in_some_cr) else list(itertools.permutations(block))
-        for block in blocks
-    ]
-    best = None
-    for arrangement in itertools.product(*choices):
-        order = [label for block in arrangement for label in block]
-        encoded = _encode(inst, order)
-        if best is None or encoded < best:
-            best = encoded
-    return repr(best).encode()
+    crs = [cr.entries for cr in inst.crossratios]
+    rank = {label: (_KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions}
+    count = {label: sum(label in cr for cr in crs) for label in rank}
+    signature = {cr: sorted((*rank[x], count[x]) for x in cr) for cr in crs}
+    by_signature = sorted(crs, key=signature.get)
+    runs = [list(run) for _, run in itertools.groupby(by_signature, signature.get)]
+    best = min(
+        sorted((*rank[x], tuple(x in cr for cr in itertools.chain(*listing))) for x in rank)
+        for listing in itertools.product(*map(itertools.permutations, runs))
+    )
+    return repr((inst.degree, best)).encode()
+
+
+def json_checked(value: Any, what: str, *shape: int, leaf: type = int) -> Any:
+    """Check a value read from a JSON document: one ``leaf``, or nested lists of them.
+
+    ``shape`` holds each list level's length, 0 for any; lists come back
+    as tuples.  Misfits, bools and floats among ints included, raise
+    ValueError naming ``what``.
+    """
+    if not shape and type(value) is leaf:
+        return value
+    if shape and isinstance(value, list) and shape[0] in (0, len(value)):
+        if len(shape) == 1 and all(type(item) is leaf for item in value):  # skip a call per item
+            return tuple(value)
+        return tuple([json_checked(item, what, *shape[1:], leaf=leaf) for item in value])
+    names = {int: "an integer", str: "a string", dict: "an object"}
+    expected = f"a list of {shape[0] or 'any number of'} items" if shape else names[leaf]
+    raise ValueError(f"{what}: expected {expected}, got {json.dumps(value)}")

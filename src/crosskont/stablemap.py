@@ -45,7 +45,17 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .conditions import FREE, LINE, POINT, Count, CrossRatio, Label, Pairing, canonical_pairing
+from .conditions import (
+    FREE,
+    LINE,
+    POINT,
+    Count,
+    CrossRatio,
+    Label,
+    Pairing,
+    canonical_pairing,
+    json_checked,
+)
 from .resolution import Quadruple, VertexProfile, cross_ratio_multiplicity
 from .splits import (
     KIND_OF_DEFICIENCIES,
@@ -200,32 +210,13 @@ class StableMap:
             raise ValueError("duplicate edge ids")
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("the underlying graph is not a tree")
-        if self.vertices:
-            seen = {self.vertices[0]}
-            frontier = [self.vertices[0]]
-            adjacency = self._adjacency()
-            while frontier:
-                here = frontier.pop()
-                for other, _, _ in adjacency[here]:
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
-            if seen != known:
-                raise ValueError("the underlying graph is not connected")
+        if self.vertices and len(self._parents(self.vertices[0])) != len(self.vertices) - 1:
+            raise ValueError("the underlying graph is not connected")
+        adjacency = self._adjacency()
         for vertex in self.vertices:
-            total = [0, 0]
-            for edge in self.edges:
-                if edge.tail == vertex:
-                    total[0] += edge.vector[0]
-                    total[1] += edge.vector[1]
-                elif edge.head == vertex:
-                    total[0] -= edge.vector[0]
-                    total[1] -= edge.vector[1]
-            for end in self.ends:
-                if end.vertex == vertex:
-                    total[0] += end.direction[0]
-                    total[1] += end.direction[1]
-            if total != [0, 0]:
+            vectors = [(sign * e.vector[0], sign * e.vector[1]) for _, e, sign in adjacency[vertex]]
+            vectors += [end.direction for end in self.ends if end.vertex == vertex]
+            if (sum(x for x, _ in vectors), sum(y for _, y in vectors)) != (0, 0):
                 raise ValueError(f"vertex {vertex} is not balanced")
         counts = {direction: 0 for direction in _STANDARD_DIRECTIONS}
         for end in self.ends:
@@ -254,8 +245,10 @@ class StableMap:
             table[edge.head].append((edge.tail, edge, -1))
         return table
 
-    def _parents(self, root: str) -> dict[str, tuple[str, BoundedEdge, int]]:
-        """BFS tree towards ``root``; sign +1 when the edge points away from it."""
+    def _parents(
+        self, root: str, cut: BoundedEdge | None = None
+    ) -> dict[str, tuple[str, BoundedEdge, int]]:
+        """Search tree towards ``root``, not crossing ``cut``; sign +1 when the edge points away."""
         parents: dict[str, tuple[str, BoundedEdge, int]] = {}
         adjacency = self._adjacency()
         frontier = [root]
@@ -263,7 +256,7 @@ class StableMap:
         while frontier:
             here = frontier.pop()
             for other, edge, sign in adjacency[here]:
-                if other not in seen:
+                if other not in seen and edge is not cut:
                     seen.add(other)
                     parents[other] = (here, edge, sign)
                     frontier.append(other)
@@ -281,14 +274,7 @@ class StableMap:
         return walk
 
     def path_vertices(self, start: str, goal: str) -> list[str]:
-        parents = self._parents(start)
-        walk = [goal]
-        here = goal
-        while here != start:
-            here = parents[here][0]
-            walk.append(here)
-        walk.reverse()
-        return walk
+        return [start] + [e.head if sign == 1 else e.tail for e, sign in self.path(start, goal)]
 
 
 def find_satisfying_vertex(
@@ -497,20 +483,6 @@ class SplitReport:
         return fine
 
 
-def _component(map: StableMap, cut: BoundedEdge, start: str) -> set[str]:
-    seen = {start}
-    frontier = [start]
-    adjacency = map._adjacency()
-    while frontier:
-        here = frontier.pop()
-        for other, edge, _ in adjacency[here]:
-            if edge.id == cut.id or other in seen:
-                continue
-            seen.add(other)
-            frontier.append(other)
-    return seen
-
-
 def _side_map(
     map: StableMap,
     crossratios: Sequence[CrossRatio],
@@ -561,8 +533,8 @@ def check_split_multiplicity(
     if not cut.contracted:
         raise ValueError(f"edge {edge_id!r} is not contracted")
     full = multiplicity(map, crossratios)
-    component1 = _component(map, cut, cut.tail)
-    component2 = _component(map, cut, cut.head)
+    component1 = {cut.tail, *map._parents(cut.tail, cut)}
+    component2 = {cut.head, *map._parents(cut.head, cut)}
     fresh1 = max(end.label for end in map.ends) + 1
     fresh2 = fresh1 + 1
     labels1 = frozenset(end.label for end in map.ends if end.vertex in component1)
@@ -615,37 +587,43 @@ def stablemap_from_dict(data: Mapping) -> tuple[StableMap, list[CrossRatio]]:
     if data.get("schema") != "stablemap/1":
         raise ValueError(f"expected schema stablemap/1, got {data.get('schema')!r}")
     try:
-        vertices = tuple(data["vertices"])
+        vertices = json_checked(data["vertices"], "vertices", 0, leaf=str)
         edges = tuple(
             BoundedEdge(
-                e["id"],
-                e["tail"],
-                e["head"],
-                (e["direction"][0], e["direction"][1]),
-                e.get("weight", 1),
+                json_checked(e["id"], "edge id", leaf=str),
+                json_checked(e["tail"], f"tail of edge {e['id']}", leaf=str),
+                json_checked(e["head"], f"head of edge {e['id']}", leaf=str),
+                json_checked(e["direction"], f"direction of edge {e['id']}", 2),
+                json_checked(e.get("weight", 1), f"weight of edge {e['id']}"),
             )
-            for e in data["edges"]
+            for e in json_checked(data["edges"], "edges", 0, leaf=dict)
         )
         ends = []
-        for item in data["ends"]:
+        for item in json_checked(data["ends"], "ends", 0, leaf=dict):
+            label = json_checked(item["label"], "end label")
             condition = item.get("condition")
             tag = None
             if condition is not None:
-                kind = condition.get("kind")
+                kind = json_checked(condition, f"condition of end {label}", leaf=dict).get("kind")
                 if kind == "point":
                     tag = EndTag.point()
                 elif kind == "line":
-                    tag = EndTag.line(tuple(condition["normal"]), condition.get("weight", 1))
+                    normal = json_checked(condition["normal"], f"normal of end {label}", 2)
+                    tag = EndTag.line(normal, json_checked(condition.get("weight", 1), "weight"))
                 elif kind == "degenerated line":
-                    tag = EndTag.degenerated(condition["type"])
+                    tag = EndTag.degenerated(json_checked(condition["type"], "type", leaf=str))
                 elif kind == "free":
                     tag = EndTag.free()
                 else:
-                    raise ValueError(f"end {item['label']}: unknown condition kind {kind!r}")
-            direction = (item["direction"][0], item["direction"][1])
-            ends.append(End(item["label"], item["vertex"], direction, tag))
-        map = StableMap(vertices, edges, tuple(ends), data["base"])
-        crossratios = [CrossRatio.of(*entry) for entry in data.get("crossratios", [])]
+                    raise ValueError(f"end {label}: unknown condition kind {kind!r}")
+            direction = json_checked(item["direction"], f"direction of end {label}", 2)
+            vertex = json_checked(item["vertex"], f"vertex of end {label}", leaf=str)
+            ends.append(End(label, vertex, direction, tag))
+        map = StableMap(vertices, edges, tuple(ends), json_checked(data["base"], "base"))
+        crossratios = [
+            CrossRatio.of(*entry)
+            for entry in json_checked(data.get("crossratios", []), "crossratios", 0, 0)
+        ]
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in stablemap file") from None
     return map, crossratios

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crosskont.cli import main
 
@@ -219,3 +224,100 @@ def test_nonpositive_arguments_are_rejected_by_the_parser(capsys):
         main(["kontsevich", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _rejected(capsys, tmp_path, command, document, message):
+    """Run ``command`` on ``document``: exit 1, no stdout, one ``error:`` line naming the field."""
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert message in err
+
+
+def _instance_document(**fields):
+    document = {"schema": "instance/1", "degree": 1, "points": [1, 2], "crossratios": []}
+    document.update(fields)
+    return document
+
+
+def test_string_degree_is_rejected(capsys, tmp_path):
+    document = _instance_document(degree="2", points=[1, 2, 3, 4, 5])
+    _rejected(capsys, tmp_path, "eval", document, 'degree: expected an integer, got "2"')
+
+
+def test_bare_int_line_is_rejected(capsys, tmp_path):
+    document = _instance_document(lines=[3])
+    _rejected(capsys, tmp_path, "eval", document, "lines: expected an object, got 3")
+
+
+def test_one_element_edge_direction_is_rejected(capsys, tmp_path):
+    document = json.loads((FIXTURES / "c2_01.json").read_text())
+    document["edges"][0]["direction"] = [0]
+    _rejected(
+        capsys, tmp_path, "mult", document, "direction of edge l1: expected a list of 2 items"
+    )
+
+
+def test_string_slots_are_rejected(capsys, tmp_path):
+    document = {"schema": "profile/1", "slots": "abc"}
+    message = 'slots: expected a list of any number of items, got "abc"'
+    _rejected(capsys, tmp_path, "multcr", document, message)
+
+
+def test_boolean_weight_is_rejected(capsys, tmp_path):
+    document = _instance_document(lines=[{"label": 3, "weight": True}])
+    _rejected(capsys, tmp_path, "eval", document, "line weight: expected an integer, got true")
+
+
+def test_float_label_is_rejected(capsys, tmp_path):
+    document = _instance_document(points=[1.0, 2])
+    _rejected(capsys, tmp_path, "eval", document, "points: expected an integer, got 1.0")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 9) | st.floats(-2, 9) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _field_paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("eval", "worked_example_23.json"), ("multcr", "profile6.json"), ("mult", "split_1_1.json")],
+)
+@given(data=st.data())
+def test_any_field_replaced_gets_an_answer_or_one_error_line(command, name, data):
+    document = json.loads((FIXTURES / name).read_text())
+    path = data.draw(st.sampled_from(sorted(_field_paths(document), key=repr)))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_JSON_VALUES)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        changed = Path(directory) / "changed.json"
+        changed.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(changed)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1

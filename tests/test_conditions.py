@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -190,6 +194,64 @@ def test_canonical_key_invariant_under_random_relabelling(data):
     labels = sorted(inst.labels)
     perm = data.draw(st.permutations(labels))
     assert _key_of_permuted(inst, tuple(perm)) == canonical_key(inst)
+
+
+@st.composite
+def _tied_instances(draw) -> Instance:
+    """At most 7 labels and 2-4 cross-ratios, mostly weight-1 lines, so signatures tie."""
+    n = draw(st.integers(4, 7))
+    kinds = draw(st.lists(st.sampled_from("LLLLpf"), min_size=n, max_size=n))
+    crossratios = draw(
+        st.lists(st.sets(st.integers(1, n), min_size=4, max_size=4), min_size=2, max_size=4)
+    )
+    of_kind = lambda kind: [label for label, k in enumerate(kinds, 1) if k == kind]
+    return Instance.build(
+        2,
+        points=of_kind("p"),
+        lines=dict.fromkeys(of_kind("L"), 1),
+        free=of_kind("f"),
+        crossratios=crossratios,
+    )
+
+
+@given(data=st.data())
+def test_canonical_key_is_exact_where_signatures_tie(data):
+    inst = data.draw(_tied_instances())
+    labels = sorted(inst.labels)
+    size = len(labels)
+    image = data.draw(st.lists(st.integers(1, 20), min_size=size, max_size=size, unique=True))
+    moved = inst.relabel(dict(zip(labels, image)))
+    listing = tuple(data.draw(st.permutations(moved.crossratios)))
+    assert canonical_key(Instance(moved.degree, moved.conditions, listing)) == canonical_key(inst)
+    other = data.draw(_tied_instances())
+    assert (canonical_key(other) == canonical_key(inst)) == _isomorphic(inst, other)
+
+
+# Three disjoint cross-ratios on 12 points: 12! label arrangements for a
+# search over label permutations.  The child process caps its own address
+# space, so a key that enumerates them fails there instead of exhausting
+# the machine.
+_TWELVE_POINTS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from crosskont import Instance, canonical_key
+points = range(1, 13)
+disjoint = Instance.build(4, points=points, crossratios=[range(1, 5), range(5, 9), range(9, 13)])
+moved = disjoint.relabel(dict(zip(points, [7, 12, 1, 9, 3, 10, 5, 2, 11, 4, 8, 6])))
+moved = Instance(moved.degree, moved.conditions, moved.crossratios[::-1])
+chained = Instance.build(4, points=points, crossratios=[range(1, 5), range(4, 8), range(9, 13)])
+key = canonical_key(disjoint)
+print(canonical_key(moved) == key, canonical_key(chained) == key)
+"""
+
+
+def test_canonical_key_of_twelve_points_in_three_cross_ratios():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _TWELVE_POINTS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.stdout.split() == ["True", "False"], out.stderr[-500:]
 
 
 @given(data=st.data())
