@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -275,6 +276,7 @@ def validate(inst: Instance) -> Validation:
 
 
 _KIND_RANK = {POINT: 0, LINE: 1, FREE: 2}
+_MAX_LISTINGS = 720
 
 
 def canonical_key(inst: Instance) -> bytes:
@@ -286,7 +288,9 @@ def canonical_key(inst: Instance) -> bytes:
     cross-ratios hold the label.  The key takes the least such multiset
     over the listings that sort the cross-ratios by the sorted (kind
     rank, weight, membership count) of their entries, permuting only
-    runs of equal signatures, so its cost is factorial only in those.
+    runs of equal signatures.  Past ``_MAX_LISTINGS`` such listings it
+    keeps the given order within each run: equal keys still mean
+    isomorphic instances, but relabelled copies may no longer share one.
     """
     crs = [cr.entries for cr in inst.crossratios]
     rank = {label: (_KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions}
@@ -294,9 +298,13 @@ def canonical_key(inst: Instance) -> bytes:
     signature = {cr: sorted((*rank[x], count[x]) for x in cr) for cr in crs}
     by_signature = sorted(crs, key=signature.get)
     runs = [list(run) for _, run in itertools.groupby(by_signature, signature.get)]
+    if math.prod(math.factorial(len(run)) for run in runs) > _MAX_LISTINGS:
+        listings = [runs]
+    else:
+        listings = itertools.product(*map(itertools.permutations, runs))
     best = min(
         sorted((*rank[x], tuple(x in cr for cr in itertools.chain(*listing))) for x in rank)
-        for listing in itertools.product(*map(itertools.permutations, runs))
+        for listing in listings
     )
     return repr((inst.degree, best)).encode()
 
@@ -311,8 +319,6 @@ def json_checked(value: Any, what: str, *shape: int, leaf: type = int) -> Any:
     if not shape and type(value) is leaf:
         return value
     if shape and isinstance(value, list) and shape[0] in (0, len(value)):
-        if len(shape) == 1 and all(type(item) is leaf for item in value):  # skip a call per item
-            return tuple(value)
         return tuple([json_checked(item, what, *shape[1:], leaf=leaf) for item in value])
     names = {int: "an integer", str: "a string", dict: "an object"}
     expected = f"a list of {shape[0] or 'any number of'} items" if shape else names[leaf]

@@ -609,7 +609,8 @@ def stablemap_from_dict(data: Mapping) -> tuple[StableMap, list[CrossRatio]]:
                     tag = EndTag.point()
                 elif kind == "line":
                     normal = json_checked(condition["normal"], f"normal of end {label}", 2)
-                    tag = EndTag.line(normal, json_checked(condition.get("weight", 1), "weight"))
+                    weight = json_checked(condition.get("weight", 1), f"weight of end {label}")
+                    tag = EndTag.line(normal, weight)
                 elif kind == "degenerated line":
                     tag = EndTag.degenerated(json_checked(condition["type"], "type", leaf=str))
                 elif kind == "free":

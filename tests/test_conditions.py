@@ -227,13 +227,20 @@ def test_canonical_key_is_exact_where_signatures_tie(data):
     assert (canonical_key(other) == canonical_key(inst)) == _isomorphic(inst, other)
 
 
+def _in_capped_child(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a child process that caps its own address space at 1 GiB."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    capped = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    return subprocess.run(
+        [sys.executable, "-c", capped + script], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 # Three disjoint cross-ratios on 12 points: 12! label arrangements for a
-# search over label permutations.  The child process caps its own address
-# space, so a key that enumerates them fails there instead of exhausting
-# the machine.
+# search over label permutations.  Run capped, so a key that enumerates
+# them fails there instead of exhausting the machine.
 _TWELVE_POINTS = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from crosskont import Instance, canonical_key
 points = range(1, 13)
 disjoint = Instance.build(4, points=points, crossratios=[range(1, 5), range(5, 9), range(9, 13)])
@@ -246,11 +253,32 @@ print(canonical_key(moved) == key, canonical_key(chained) == key)
 
 
 def test_canonical_key_of_twelve_points_in_three_cross_ratios():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _TWELVE_POINTS], capture_output=True, text=True, env=env, timeout=60
+    out = _in_capped_child(_TWELVE_POINTS)
+    assert out.stdout.split() == ["True", "False"], out.stderr[-500:]
+
+
+# Fifteen windows {i..i+3} over 18 labels, points at both ends (a d=6
+# instance): the nine interior windows share one signature, 9! * 2^3
+# listings in all.  Past the bound the key keeps one listing, so an
+# order-preserving rename still shares it, and moving one entry of a
+# window still tells the chains apart.
+_WINDOW_CHAIN = """
+from crosskont import Instance, canonical_key, validate
+def chain(windows):
+    return Instance.build(
+        6, points=[1, 18], lines=dict.fromkeys(range(2, 18), 1), crossratios=windows
     )
+windows = [range(i, i + 4) for i in range(1, 16)]
+assert validate(chain(windows)).ok
+key = canonical_key(chain(windows))
+renamed = chain(windows).relabel({label: 10 * label for label in range(1, 19)})
+moved = chain(windows[:7] + [(8, 9, 10, 12)] + windows[8:])
+print(canonical_key(renamed) == key, canonical_key(moved) == key)
+"""
+
+
+def test_canonical_key_of_a_long_window_chain_is_bounded():
+    out = _in_capped_child(_WINDOW_CHAIN)
     assert out.stdout.split() == ["True", "False"], out.stderr[-500:]
 
 
