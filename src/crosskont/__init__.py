@@ -45,7 +45,6 @@ from .splits import (
     SubInstancePair,
     build_subinstances,
     enumerate_splits,
-    respecting_pairing,
 )
 from .stablemap import (
     BoundedEdge,
@@ -90,7 +89,6 @@ __all__ = [
     "SubInstancePair",
     "build_subinstances",
     "enumerate_splits",
-    "respecting_pairing",
     "BoundedEdge",
     "End",
     "EndTag",

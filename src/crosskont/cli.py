@@ -35,11 +35,10 @@ from .engine import (
     Engine,
     ResourceLimitError,
     TraceNode,
-    ValidationError,
     evaluate_invariance_battery,
     kontsevich,
 )
-from .resolution import StructureError, VertexProfile, cross_ratio_multiplicity
+from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import Split
 from .stablemap import multiplicity, stablemap_from_dict
 
@@ -238,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValidationError, StructureError, ResourceLimitError, ValueError, OSError) as err:
+    except (ResourceLimitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

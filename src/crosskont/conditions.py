@@ -9,9 +9,10 @@ The counting problem is zero-dimensional exactly when
 
     3 d - 1 = #points + #crossratios - #free.
 
-Instances are immutable and hashable; ``canonical_key`` produces a
-relabelling-invariant fingerprint that the recursion engine uses for
-memoization.
+Instances are immutable and compare as values, but they are not
+hashable: their conditions live in a read-only mapping.
+``canonical_key`` produces a relabelling-invariant fingerprint that the
+recursion engine uses for memoization.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Label = int
 Count = int
@@ -143,25 +145,24 @@ def canonical_pairing(cr: CrossRatio) -> Pairing:
 class Instance:
     """One counting problem: a degree plus labelled conditions.
 
-    ``conditions`` maps each contracted-end label to its condition and
-    is stored sorted by label, so structurally equal instances are equal
-    as values.  Use :meth:`build` instead of the raw constructor.
+    ``conditions`` maps each contracted-end label to its condition.  The
+    constructor takes any mapping, or iterable of (label, condition)
+    pairs, and stores it once as a read-only mapping ordered by label,
+    so the label tuples below come out sorted.  Instances compare as
+    values and are not hashable.
     """
 
     degree: int
-    conditions: tuple[tuple[Label, EndCondition], ...]
+    conditions: Mapping[Label, EndCondition]
     crossratios: tuple[CrossRatio, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        labels = [label for label, _ in self.conditions]
-        if any(label < 1 for label in labels):
+        conditions = dict(sorted(dict(self.conditions).items()))
+        if any(label < 1 for label in conditions):
             raise ValueError("labels must be positive integers")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate end labels")
-        if list(labels) != sorted(labels):
-            raise ValueError("conditions must be sorted by label; use Instance.build")
+        object.__setattr__(self, "conditions", MappingProxyType(conditions))
 
     @classmethod
     def build(
@@ -193,39 +194,32 @@ class Instance:
         crs = tuple(
             cr if isinstance(cr, CrossRatio) else CrossRatio.of(*cr) for cr in crossratios
         )
-        return cls(degree, tuple(sorted(conds.items())), crs)
+        return cls(degree, conds, crs)
 
     @property
     def labels(self) -> tuple[Label, ...]:
-        return tuple(label for label, _ in self.conditions)
+        return tuple(self.conditions)
 
     @property
     def points(self) -> tuple[Label, ...]:
-        return tuple(label for label, c in self.conditions if c.kind == POINT)
+        return tuple(label for label, c in self.conditions.items() if c.kind == POINT)
 
     @property
     def lines(self) -> tuple[Label, ...]:
-        return tuple(label for label, c in self.conditions if c.kind == LINE)
+        return tuple(label for label, c in self.conditions.items() if c.kind == LINE)
 
     @property
     def free(self) -> tuple[Label, ...]:
-        return tuple(label for label, c in self.conditions if c.kind == FREE)
+        return tuple(label for label, c in self.conditions.items() if c.kind == FREE)
 
     def condition(self, label: Label) -> EndCondition:
-        for other, cond in self.conditions:
-            if other == label:
-                return cond
-        raise KeyError(label)
-
-    def weight(self, label: Label) -> int:
-        return self.condition(label).weight
+        return self.conditions[label]
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "Instance":
         """Apply a label bijection, leaving unmapped labels in place."""
-        image = [mapping.get(label, label) for label in self.labels]
-        if len(set(image)) != len(image):
+        conds = {mapping.get(label, label): cond for label, cond in self.conditions.items()}
+        if len(conds) != len(self.conditions):
             raise ValueError("relabelling is not injective on the instance")
-        conds = tuple(sorted((mapping.get(label, label), cond) for label, cond in self.conditions))
         crs = tuple(
             CrossRatio(frozenset(mapping.get(x, x) for x in cr.entries)) for cr in self.crossratios
         )
@@ -240,6 +234,16 @@ class Validation(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def deficiency(degree: int, kinds: Sequence[str], crossratios: int) -> int:
+    """How far a curve or one side of a split is from being zero-dimensional.
+
+    ``kinds`` lists the condition kinds of its contracted ends and
+    ``crossratios`` counts the cross-ratios it carries.  A well posed
+    instance has deficiency 1.
+    """
+    return 3 * degree - (kinds.count(POINT) + crossratios - kinds.count(FREE))
 
 
 def validate(inst: Instance) -> Validation:
@@ -262,12 +266,11 @@ def validate(inst: Instance) -> Validation:
         stray = cr.entries - known
         if stray:
             return Validation(False, f"cross-ratio entry {min(stray)} is not an end of the instance")
-    n = len(inst.points)
-    l = len(inst.crossratios)
-    f = len(inst.free)
-    lhs = 3 * inst.degree - 1
-    rhs = n + l - f
-    if lhs != rhs:
+    kinds = [cond.kind for cond in inst.conditions.values()]
+    delta = deficiency(inst.degree, kinds, len(inst.crossratios))
+    if delta != 1:
+        lhs = 3 * inst.degree - 1
+        rhs = 3 * inst.degree - delta
         return Validation(
             False,
             f"dimension count off: 3*{inst.degree} - 1 = {lhs} but #points + #crossratios - #free = {rhs}",
@@ -293,7 +296,7 @@ def canonical_key(inst: Instance) -> bytes:
     isomorphic instances, but relabelled copies may no longer share one.
     """
     crs = [cr.entries for cr in inst.crossratios]
-    rank = {label: (_KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions}
+    rank = {label: (_KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions.items()}
     count = {label: sum(label in cr for cr in crs) for label in rank}
     signature = {cr: sorted((*rank[x], count[x]) for x in cr) for cr in crs}
     by_signature = sorted(crs, key=signature.get)

@@ -36,7 +36,6 @@ from .conditions import (
 from .resolution import VertexProfile, Quadruple, cross_ratio_multiplicity
 from .splits import (
     Split,
-    SubInstancePair,
     TWO_ZERO_SIDE1_FIXED,
     TWO_ZERO_SIDE2_FIXED,
     build_subinstances,
@@ -88,40 +87,34 @@ def base_no_crossratios(inst: Instance) -> Count:
     For positive degree the points pin down ``kontsevich(d)`` curves,
     each multi line contributes its weight times d intersection points,
     and any free end makes the count vanish (the points are then in
-    excess).  A degree-zero map contracts to a single vertex, which is
-    rigid in exactly two shapes: pinned to the intersection of two
-    multi lines with one free end (the product of the two weights), or
-    pinned to one point with two free ends (count one).  Any other
-    degree-zero shape leaves the vertex loose or over-determined.
+    excess).  A degree-zero map contracts to a single vertex, counted
+    by :func:`base_degree_zero` with no cross-ratios.
     """
-    lines = inst.lines
     if inst.degree == 0:
-        if not inst.points and len(lines) == 2 and len(inst.free) == 1:
-            return inst.weight(lines[0]) * inst.weight(lines[1])
-        if len(inst.points) == 1 and not lines and len(inst.free) == 2:
-            return 1
-        return 0
+        return base_degree_zero(inst)
     if inst.free:
         return 0
     product = kontsevich(inst.degree)
-    for label in lines:
-        product *= inst.weight(label) * inst.degree
+    for label in inst.lines:
+        product *= inst.condition(label).weight * inst.degree
     return product
 
 
 def base_degree_zero(inst: Instance) -> Count:
-    """Count for a valid degree-zero instance with cross-ratios.
+    """Count for a valid degree-zero instance with l >= 0 cross-ratios.
 
     Such curves are stars: one vertex carrying every contracted end.
-    The vertex is rigid in the same two shapes as without cross-ratios,
-    two multi lines with l + 1 free ends or one point with l + 2 free
-    ends, and each then counts its cross-ratio multiplicity, weighted
-    by the product of the line weights in the first shape.
+    The vertex is rigid in exactly two shapes, pinned to the
+    intersection of two multi lines with l + 1 free ends or to one
+    point with l + 2 free ends, and each then counts its cross-ratio
+    multiplicity (one for l = 0), weighted by the product of the line
+    weights in the first shape.  Any other shape leaves the vertex
+    loose or over-determined.
     """
     lines = inst.lines
     l = len(inst.crossratios)
     if not inst.points and len(lines) == 2 and len(inst.free) == l + 1:
-        scale = inst.weight(lines[0]) * inst.weight(lines[1])
+        scale = inst.condition(lines[0]).weight * inst.condition(lines[1]).weight
     elif len(inst.points) == 1 and not lines and len(inst.free) == l + 2:
         scale = 1
     else:
@@ -188,7 +181,6 @@ class TraceTerm:
     """One split's contribution to a recursion node."""
 
     split: Split
-    pair: SubInstancePair
     left: "TraceNode"
     right: "TraceNode"
 
@@ -293,7 +285,7 @@ class Engine:
             value += v1 * v2
             if trace:
                 assert n1 is not None and n2 is not None
-                terms.append(TraceTerm(split, pair, n1, n2))
+                terms.append(TraceTerm(split, n1, n2))
         node = (
             TraceNode(inst, "split", value, last, pairing, tuple(terms)) if trace else None
         )

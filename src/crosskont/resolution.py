@@ -41,7 +41,6 @@ class Quadruple:
 
     cr: int
     slot_of: tuple[tuple[Label, SlotId], ...]
-    pairing: Pairing | None = None
 
     def __post_init__(self) -> None:
         if len(self.slot_of) != 4:
@@ -52,22 +51,15 @@ class Quadruple:
             raise ValueError(f"entries and slots must each be distinct, got {self.slot_of}")
         if list(entries) != sorted(entries):
             raise ValueError("slot_of must be sorted by entry; use Quadruple.of")
-        if self.pairing is not None and self.pairing.entries != frozenset(entries):
-            raise ValueError("pairing does not match the quadruple's entries")
 
     @classmethod
-    def of(
-        cls,
-        cr: int,
-        slot_of: Mapping[Label, SlotId] | Iterable[Label],
-        pairing: Pairing | None = None,
-    ) -> "Quadruple":
+    def of(cls, cr: int, slot_of: Mapping[Label, SlotId] | Iterable[Label]) -> "Quadruple":
         """Build a quadruple; a plain iterable of labels routes each to itself."""
         if isinstance(slot_of, Mapping):
             items = tuple(sorted(slot_of.items()))
         else:
             items = tuple((label, label) for label in sorted(slot_of))
-        return cls(cr, items, pairing)
+        return cls(cr, items)
 
     @property
     def entries(self) -> frozenset[Label]:
@@ -160,7 +152,7 @@ def resolve_once(
             slot_of = tuple(
                 (entry, slot if slot in side else new_slot) for entry, slot in q.slot_of
             )
-            quads.append(Quadruple(q.cr, slot_of, q.pairing))
+            quads.append(Quadruple(q.cr, slot_of))
         return VertexProfile(side | {new_slot}, tuple(quads))
 
     out = []
@@ -233,10 +225,9 @@ def total_resolutions(
     Parameters
     ----------
     pairings : mapping, optional
-        Pairing to use per cross-ratio id.  Defaults to each
-        quadruple's own pairing if set, else to the pairing grouping
-        its two smallest entries.  The resulting set of trees does not
-        depend on this choice.
+        Pairing to use per cross-ratio id.  Defaults to the pairing
+        grouping each quadruple's two smallest entries.  The resulting
+        set of trees does not depend on this choice.
     order : sequence of int, optional
         Resolution order by cross-ratio id; defaults to profile order.
         The result does not depend on it either.
@@ -250,7 +241,7 @@ def total_resolutions(
     chosen = dict(pairings) if pairings else {}
     for quad in profile.quadruples:
         if quad.cr not in chosen:
-            chosen[quad.cr] = quad.pairing or canonical_pairing(CrossRatio(quad.entries))
+            chosen[quad.cr] = canonical_pairing(CrossRatio(quad.entries))
     resolution_order = tuple(order) if order is not None else tuple(q.cr for q in profile.quadruples)
     anchor = min(profile.slots)
     leaves_of = {slot: frozenset({slot}) for slot in profile.slots}

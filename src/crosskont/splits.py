@@ -20,16 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .conditions import (
-    FREE,
-    POINT,
-    CrossRatio,
-    EndCondition,
-    Instance,
-    Label,
-    Pairing,
-    canonical_pairing as respecting_pairing,
-)
+from .conditions import CrossRatio, EndCondition, Instance, Label, Pairing, deficiency
 
 ONE_ONE = "1/1"
 TWO_ZERO_SIDE1_FIXED = "2/0 side 1 fixed"
@@ -47,15 +38,6 @@ _E_CONDITIONS = {
     TWO_ZERO_SIDE1_FIXED: (EndCondition.free(), EndCondition.point()),
     TWO_ZERO_SIDE2_FIXED: (EndCondition.point(), EndCondition.free()),
 }
-
-
-def deficiency(degree: int, kinds: Sequence[str], crossratios: int) -> int:
-    """How far one side is from being zero-dimensional on its own.
-
-    ``kinds`` lists the condition kinds of the side's contracted ends
-    and ``crossratios`` counts the cross-ratios that follow the side.
-    """
-    return 3 * degree - (kinds.count(POINT) + crossratios - kinds.count(FREE))
 
 
 def route_groups(
@@ -162,7 +144,6 @@ def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]
     resolved = inst.crossratios[last]
     if pairing.entries != resolved.entries:
         raise ValueError("pairing does not match the resolved cross-ratio")
-    kind_of = {label: cond.kind for label, cond in inst.conditions}
     others = [j for j in range(len(inst.crossratios)) if j != last]
     groups = [inst.crossratios[j].entries for j in others]
     movable = sorted(set(inst.labels) - resolved.entries)
@@ -170,8 +151,8 @@ def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]
     for labels1, labels2, to1, to2 in placements(
         groups, frozenset(pairing.first), frozenset(pairing.second), movable
     ):
-        kinds1 = [kind_of[x] for x in labels1]
-        kinds2 = [kind_of[x] for x in labels2]
+        kinds1 = [inst.conditions[x].kind for x in labels1]
+        kinds2 = [inst.conditions[x].kind for x in labels2]
         # On a valid instance the two deficiencies sum to 2, so side 1's,
         # 3 d1 - k1 with k1 = -deficiency(0, ...), lies in 0..2: d1 = ceil(k1 / 3).
         d1 = -(deficiency(0, kinds1, len(to1)) // 3)
@@ -203,9 +184,7 @@ def build_subinstances(inst: Instance, split: Split) -> SubInstancePair:
     cond1, cond2 = _E_CONDITIONS[split.kind]
 
     def side_instance(side: SplitSide, e: Label, cond: EndCondition) -> Instance:
-        conds = tuple(
-            sorted([(x, inst.condition(x)) for x in side.labels] + [(e, cond)])
-        )
+        conds = {x: inst.conditions[x] for x in side.labels} | {e: cond}
         crs = tuple(
             CrossRatio(
                 frozenset(x if x in side.labels else e for x in inst.crossratios[j].entries)

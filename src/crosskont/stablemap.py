@@ -54,6 +54,7 @@ from .conditions import (
     Label,
     Pairing,
     canonical_pairing,
+    deficiency,
     json_checked,
 )
 from .resolution import Quadruple, VertexProfile, cross_ratio_multiplicity
@@ -61,7 +62,6 @@ from .splits import (
     KIND_OF_DEFICIENCIES,
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
-    deficiency,
     route_groups,
 )
 

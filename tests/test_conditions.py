@@ -71,7 +71,7 @@ def test_build_collects_conditions_by_label():
     assert inst.points == (1, 2, 3)
     assert inst.lines == (4, 5)
     assert inst.free == ()
-    assert inst.weight(5) == 3
+    assert inst.condition(5).weight == 3
     assert inst.condition(1).kind == "point"
 
 
@@ -82,13 +82,30 @@ def test_build_rejects_bad_labels():
         Instance.build(1, points=[0, 2])
 
 
+def test_constructor_takes_conditions_in_any_label_order():
+    point = EndCondition.point()
+    raw = Instance(
+        2,
+        {5: EndCondition.line(3), 1: point, 4: EndCondition.line(2), 3: point, 2: point},
+        (CrossRatio.of(1, 2, 3, 4),),
+    )
+    built = Instance.build(2, points=[3, 1, 2], lines={4: 2, 5: 3}, crossratios=[[1, 2, 3, 4]])
+    assert raw == built
+    assert raw.labels == (1, 2, 3, 4, 5)
+    assert raw.lines == (4, 5)
+    with pytest.raises(TypeError):
+        raw.conditions[6] = EndCondition.free()
+    with pytest.raises(ValueError):
+        Instance(1, {2: point, 0: point}, ())
+
+
 def test_relabel_moves_conditions_and_crossratios():
     inst = Instance.build(
         1, points=[1, 2], lines={3: 2}, free=[4], crossratios=[[1, 2, 3, 4]]
     )
     moved = inst.relabel({1: 10, 2: 20, 3: 30, 4: 40})
     assert moved.points == (10, 20)
-    assert moved.weight(30) == 2
+    assert moved.condition(30).weight == 2
     assert moved.crossratios[0] == CrossRatio.of(10, 20, 30, 40)
     with pytest.raises(ValueError):
         inst.relabel({1: 9, 2: 9, 3: 3, 4: 4})

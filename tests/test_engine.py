@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,21 @@ def test_one_cross_ratio_family_matches_the_closed_form(degree, weights):
     assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
+def test_one_cross_ratio_family_matches_the_second_closed_form(degree, weights):
+    # Gathmann and Markwig's argument under the pairing (p1 p2 | a b), where N_d
+    # comes from a and b alone on a degree-zero side:
+    # w_a w_b (N_d + sum over d1 + d2 = d of C(3d-4, 3d1-3) d1 d2^3 N_d1 N_d2)
+    n = _perfbench_oracles().kontsevich_numbers(degree)
+    terms = (
+        math.comb(3 * degree - 4, 3 * d1 - 3) * d1 * (degree - d1) ** 3 * n[d1] * n[degree - d1]
+        for d1 in range(1, degree)
+    )
+    expected = weights[0] * weights[1] * (n[degree] + sum(terms))
+    assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
+
+
 @given(data=st.data())
 def test_count_is_relabel_invariant(data):
     inst = data.draw(st.sampled_from(SMALL))
@@ -239,7 +255,7 @@ def test_count_is_multilinear_in_line_weights(data):
         inst.degree,
         tuple(
             (lab, cond if lab != label else type(cond)(cond.kind, cond.weight * factor))
-            for lab, cond in inst.conditions
+            for lab, cond in inst.conditions.items()
         ),
         inst.crossratios,
     )

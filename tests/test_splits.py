@@ -14,10 +14,9 @@ from crosskont import (
     Pairing,
     build_subinstances,
     enumerate_splits,
-    respecting_pairing,
     validate,
 )
-from crosskont.conditions import all_pairings
+from crosskont.conditions import all_pairings, canonical_pairing
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED, Split, SplitSide
 
 from corpus import SMALL, one_cross_ratio_family
@@ -73,13 +72,13 @@ def _assign(inst, last, side1):
 
 
 def test_respecting_pairing_groups_the_two_smallest_entries():
-    assert respecting_pairing(CrossRatio.of(1, 2, 3, 5)) == Pairing.of((1, 2), (3, 5))
-    assert respecting_pairing(CrossRatio.of(6, 4, 2, 1)) == Pairing.of((1, 2), (4, 6))
-    assert respecting_pairing(CrossRatio.of(9, 7, 3, 1)) == Pairing.of((1, 3), (7, 9))
+    assert canonical_pairing(CrossRatio.of(1, 2, 3, 5)) == Pairing.of((1, 2), (3, 5))
+    assert canonical_pairing(CrossRatio.of(6, 4, 2, 1)) == Pairing.of((1, 2), (4, 6))
+    assert canonical_pairing(CrossRatio.of(9, 7, 3, 1)) == Pairing.of((1, 3), (7, 9))
 
 
 def test_worked_example_first_resolution():
-    splits = enumerate_splits(WORKED, 1, respecting_pairing(WORKED.crossratios[1]))
+    splits = enumerate_splits(WORKED, 1, canonical_pairing(WORKED.crossratios[1]))
     assert len(splits) == 1
     split = splits[0]
     assert split.kind == TWO_ZERO_SIDE1_FIXED
@@ -98,7 +97,7 @@ def test_worked_example_first_resolution():
 
 def test_worked_example_second_resolution():
     inner = Instance.build(1, points=[1, 2], lines={4: 1}, free=[6], crossratios=[[1, 2, 4, 6]])
-    splits = enumerate_splits(inner, 0, respecting_pairing(inner.crossratios[0]))
+    splits = enumerate_splits(inner, 0, canonical_pairing(inner.crossratios[0]))
     assert len(splits) == 1
     split = splits[0]
     assert split.kind == ONE_ONE
@@ -126,7 +125,7 @@ def test_pairing_must_match_the_resolved_cross_ratio():
 
 
 def test_fresh_labels_sit_above_the_instance():
-    splits = enumerate_splits(WORKED, 1, respecting_pairing(WORKED.crossratios[1]))
+    splits = enumerate_splits(WORKED, 1, canonical_pairing(WORKED.crossratios[1]))
     pair = build_subinstances(WORKED, splits[0])
     top = max(WORKED.labels)
     assert pair.e1 == top + 1
@@ -163,7 +162,7 @@ def test_splits_match_brute_force_on_the_one_cross_ratio_family(degree):
 def test_sub_instances_are_well_posed():
     for inst in SMALL:
         for last in range(len(inst.crossratios)):
-            pairing = respecting_pairing(inst.crossratios[last])
+            pairing = canonical_pairing(inst.crossratios[last])
             for split in enumerate_splits(inst, last, pairing):
                 pair = build_subinstances(inst, split)
                 assert validate(pair.side1)
@@ -174,14 +173,14 @@ def test_fresh_end_conditions_follow_the_split_kind():
     seen = set()
     for inst in SMALL:
         for last in range(len(inst.crossratios)):
-            pairing = respecting_pairing(inst.crossratios[last])
+            pairing = canonical_pairing(inst.crossratios[last])
             for split in enumerate_splits(inst, last, pairing):
                 pair = build_subinstances(inst, split)
                 kinds = (pair.side1.condition(pair.e1).kind, pair.side2.condition(pair.e2).kind)
                 if split.kind == ONE_ONE:
                     assert kinds == ("line", "line")
-                    assert pair.side1.weight(pair.e1) == 1
-                    assert pair.side2.weight(pair.e2) == 1
+                    assert pair.side1.condition(pair.e1).weight == 1
+                    assert pair.side2.condition(pair.e2).weight == 1
                 elif split.kind == TWO_ZERO_SIDE1_FIXED:
                     assert kinds == ("free", "point")
                 else:
@@ -200,7 +199,7 @@ def test_adapted_cross_ratios_swap_far_entries_for_the_fresh_end():
     )
     assert validate(inst)
     for last in range(3):
-        pairing = respecting_pairing(inst.crossratios[last])
+        pairing = canonical_pairing(inst.crossratios[last])
         for split in enumerate_splits(inst, last, pairing):
             pair = build_subinstances(inst, split)
             for side, sub, fresh in ((split.side1, pair.side1, pair.e1), (split.side2, pair.side2, pair.e2)):
