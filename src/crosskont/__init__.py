@@ -29,7 +29,6 @@ from .engine import (
     kontsevich,
 )
 from .resolution import (
-    Quadruple,
     ResolutionTree,
     StructureError,
     VertexProfile,
@@ -75,7 +74,6 @@ __all__ = [
     "evaluate",
     "evaluate_invariance_battery",
     "kontsevich",
-    "Quadruple",
     "ResolutionTree",
     "StructureError",
     "VertexProfile",

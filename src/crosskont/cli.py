@@ -85,6 +85,8 @@ def _load(path: str) -> Mapping:
             data = json.load(handle)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: the document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the document must be a JSON object")
     return data

@@ -33,7 +33,7 @@ from .conditions import (
     canonical_key,
     validate,
 )
-from .resolution import VertexProfile, Quadruple, cross_ratio_multiplicity
+from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import (
     Split,
     TWO_ZERO_SIDE1_FIXED,
@@ -119,11 +119,7 @@ def base_degree_zero(inst: Instance) -> Count:
         scale = 1
     else:
         return 0
-    profile = VertexProfile(
-        frozenset(inst.labels),
-        tuple(Quadruple.of(j, cr.entries) for j, cr in enumerate(inst.crossratios)),
-    )
-    return scale * cross_ratio_multiplicity(profile)
+    return scale * cross_ratio_multiplicity(VertexProfile.of(inst.labels, inst.crossratios))
 
 
 def admissible_line_pair(inst: Instance, last: int, a: int, b: int) -> bool:

@@ -18,6 +18,7 @@ which the cross-ratios are resolved and of the chosen pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import Label, Pairing, canonical_pairing, CrossRatio
@@ -31,65 +32,30 @@ class StructureError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class Quadruple:
-    """A cross-ratio as seen from one vertex.
+class VertexProfile:
+    """The local picture at one vertex: adjacent slots plus cross-ratios.
 
-    ``slot_of`` routes each of the four entries to the adjacent edge or
-    end through which its path leaves the vertex.  For a satisfied
-    cross-ratio those four slots are distinct.
+    ``routes`` maps each cross-ratio id to a table sending its four
+    entries, end labels, to the four distinct slots through which their
+    paths leave the vertex.  It is stored read-only, so profiles compare
+    as values and are not hashable.
     """
 
-    cr: int
-    slot_of: tuple[tuple[Label, SlotId], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.slot_of) != 4:
-            raise ValueError("a quadruple routes exactly 4 entries")
-        entries = [entry for entry, _ in self.slot_of]
-        slots = [slot for _, slot in self.slot_of]
-        if len(set(entries)) != 4 or len(set(slots)) != 4:
-            raise ValueError(f"entries and slots must each be distinct, got {self.slot_of}")
-        if list(entries) != sorted(entries):
-            raise ValueError("slot_of must be sorted by entry; use Quadruple.of")
-
-    @classmethod
-    def of(cls, cr: int, slot_of: Mapping[Label, SlotId] | Iterable[Label]) -> "Quadruple":
-        """Build a quadruple; a plain iterable of labels routes each to itself."""
-        if isinstance(slot_of, Mapping):
-            items = tuple(sorted(slot_of.items()))
-        else:
-            items = tuple((label, label) for label in sorted(slot_of))
-        return cls(cr, items)
-
-    @property
-    def entries(self) -> frozenset[Label]:
-        return frozenset(entry for entry, _ in self.slot_of)
-
-    @property
-    def slots(self) -> frozenset[SlotId]:
-        return frozenset(slot for _, slot in self.slot_of)
-
-    def slot(self, entry: Label) -> SlotId:
-        for other, slot in self.slot_of:
-            if other == entry:
-                return slot
-        raise KeyError(entry)
-
-
-@dataclass(frozen=True, slots=True)
-class VertexProfile:
-    """The local picture at one vertex: adjacent slots plus cross-ratios."""
-
     slots: frozenset[SlotId]
-    quadruples: tuple[Quadruple, ...]
+    routes: Mapping[int, Mapping[Label, SlotId]]
 
     def __post_init__(self) -> None:
-        crs = [quad.cr for quad in self.quadruples]
-        if len(set(crs)) != len(crs):
-            raise ValueError("duplicate cross-ratio ids in profile")
-        for quad in self.quadruples:
-            if not quad.slots <= self.slots:
-                raise ValueError(f"quadruple {quad.cr} uses slots outside the profile")
+        slots = frozenset(self.slots)
+        routes = {cr: MappingProxyType(dict(table)) for cr, table in self.routes.items()}
+        for cr, table in routes.items():
+            used = set(table.values())
+            if len(table) != 4 or len(used) != 4 or not used <= slots:
+                raise ValueError(
+                    f"cross-ratio {cr} must route 4 entries to 4 distinct slots of the profile, "
+                    f"got {dict(table)}"
+                )
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "routes", MappingProxyType(routes))
 
     @classmethod
     def of(
@@ -98,19 +64,12 @@ class VertexProfile:
         crossratios: Iterable[Iterable[Label]] = (),
     ) -> "VertexProfile":
         """Profile whose cross-ratio entries are slots themselves, ids by position."""
-        quads = tuple(Quadruple.of(i, labels) for i, labels in enumerate(crossratios))
-        return cls(frozenset(slots), quads)
-
-    def quadruple(self, cr: int) -> Quadruple:
-        for quad in self.quadruples:
-            if quad.cr == cr:
-                return quad
-        raise KeyError(cr)
+        return cls(slots, {i: {x: x for x in labels} for i, labels in enumerate(crossratios)})
 
     def check_valence(self) -> None:
-        if len(self.slots) != 3 + len(self.quadruples):
+        if len(self.slots) != 3 + len(self.routes):
             raise StructureError(
-                f"vertex has {len(self.slots)} slots but 3 + {len(self.quadruples)} are required"
+                f"vertex has {len(self.slots)} slots but 3 + {len(self.routes)} are required"
             )
 
 
@@ -126,7 +85,8 @@ def resolve_once(
         opposite sides of a new edge, whose slot id (the same in both
         children) is one past the largest slot of ``profile``.
     pairing : Pairing
-        Grouping of the target's entries into the two separated pairs.
+        Grouping of the target's entries (not its slots) into the two
+        separated pairs; ``profile.routes[target]`` sends them to slots.
 
     Returns
     -------
@@ -137,26 +97,24 @@ def resolve_once(
         slots, the odd slot out replaced by the new edge.
     """
     profile.check_valence()
-    quad = profile.quadruple(target)
-    if pairing.entries != quad.entries:
+    table = profile.routes[target]
+    if pairing.entries != table.keys():
         raise ValueError("pairing does not match the resolved cross-ratio")
-    first = frozenset(quad.slot(entry) for entry in pairing.first)
-    second = frozenset(quad.slot(entry) for entry in pairing.second)
-    rest = sorted(profile.slots - quad.slots)
+    first = frozenset(table[entry] for entry in pairing.first)
+    second = frozenset(table[entry] for entry in pairing.second)
+    rest = sorted(profile.slots - first - second)
     new_slot = max(profile.slots) + 1
-    others = [q for q in profile.quadruples if q.cr != target]
+    others = [(cr, table) for cr, table in profile.routes.items() if cr != target]
 
     def child(side: frozenset[SlotId], routed: list[int]) -> VertexProfile:
-        quads = []
-        for q in (others[i] for i in routed):
-            slot_of = tuple(
-                (entry, slot if slot in side else new_slot) for entry, slot in q.slot_of
-            )
-            quads.append(Quadruple(q.cr, slot_of))
-        return VertexProfile(side | {new_slot}, tuple(quads))
+        routes = {}
+        for cr, table in (others[i] for i in routed):
+            routes[cr] = {entry: slot if slot in side else new_slot for entry, slot in table.items()}
+        return VertexProfile(side | {new_slot}, routes)
 
+    groups = [frozenset(table.values()) for _, table in others]
     out = []
-    for side1, side2, to1, to2 in placements([q.slots for q in others], first, second, rest):
+    for side1, side2, to1, to2 in placements(groups, first, second, rest):
         # Both child valence equations are equivalent given the totals.
         if len(side1) + 1 == 3 + len(to1):
             out.append((child(side1, to1), child(side2, to2)))
@@ -177,10 +135,7 @@ class ResolutionTree:
     edge_of: tuple[tuple[int, frozenset[SlotId]], ...]
 
     def split_for(self, cr: int) -> frozenset[SlotId]:
-        for other, split in self.edge_of:
-            if other == cr:
-                return split
-        raise KeyError(cr)
+        return dict(self.edge_of)[cr]
 
 
 def _grow(
@@ -190,10 +145,9 @@ def _grow(
     order: Sequence[int],
     anchor: SlotId,
 ) -> list[tuple[frozenset[frozenset[SlotId]], dict[int, frozenset[SlotId]]]]:
-    if not profile.quadruples:
+    if not profile.routes:
         return [(frozenset(), {})]
-    present = {q.cr for q in profile.quadruples}
-    target = next(cr for cr in order if cr in present)
+    target = next(cr for cr in order if cr in profile.routes)
     new_slot = max(profile.slots) + 1
     results = []
     for child1, child2 in resolve_once(profile, target, pairings[target]):
@@ -225,12 +179,14 @@ def total_resolutions(
     Parameters
     ----------
     pairings : mapping, optional
-        Pairing to use per cross-ratio id.  Defaults to the pairing
-        grouping each quadruple's two smallest entries.  The resulting
-        set of trees does not depend on this choice.
+        Pairing of entries to use per cross-ratio id; the profile's
+        ``routes`` send those entries to slots.  Defaults to the pairing
+        grouping each cross-ratio's two smallest entries.  The trees
+        depend on this choice; their number does not.
     order : sequence of int, optional
-        Resolution order by cross-ratio id; defaults to profile order.
-        The result does not depend on it either.
+        Resolution order by cross-ratio id; defaults to the order of
+        ``profile.routes``.  The number of trees does not depend on it
+        either.
 
     Returns
     -------
@@ -239,10 +195,10 @@ def total_resolutions(
     """
     profile.check_valence()
     chosen = dict(pairings) if pairings else {}
-    for quad in profile.quadruples:
-        if quad.cr not in chosen:
-            chosen[quad.cr] = canonical_pairing(CrossRatio(quad.entries))
-    resolution_order = tuple(order) if order is not None else tuple(q.cr for q in profile.quadruples)
+    for cr, table in profile.routes.items():
+        if cr not in chosen:
+            chosen[cr] = canonical_pairing(CrossRatio(frozenset(table)))
+    resolution_order = tuple(order) if order is not None else tuple(profile.routes)
     anchor = min(profile.slots)
     leaves_of = {slot: frozenset({slot}) for slot in profile.slots}
     raw = _grow(profile, leaves_of, chosen, resolution_order, anchor)

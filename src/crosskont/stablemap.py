@@ -57,7 +57,7 @@ from .conditions import (
     deficiency,
     json_checked,
 )
-from .resolution import Quadruple, VertexProfile, cross_ratio_multiplicity
+from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import (
     KIND_OF_DEFICIENCIES,
     ONE_ONE,
@@ -403,14 +403,21 @@ def _vertex_profiles(
     Slot ids are end labels for ends and fresh integers past the
     largest label for bounded edges.
     """
-    satisfied_at: dict[int, str] = {}
+    slot_base = max((end.label for end in map.ends), default=0) + 1
+    edge_slot = {edge.id: slot_base + i for i, edge in enumerate(map.edges)}
+    routes: dict[str, dict[int, dict[Label, int]]] = {vertex: {} for vertex in map.vertices}
     for j, cr in enumerate(crossratios):
         vertex = find_satisfying_vertex(map, cr)
         if vertex is None:
             raise ValueError(f"cross-ratio {sorted(cr.entries)} has no satisfying vertex")
-        satisfied_at[j] = vertex
-    slot_base = max((end.label for end in map.ends), default=0) + 1
-    edge_slot = {edge.id: slot_base + i for i, edge in enumerate(map.edges)}
+        table = routes[vertex][j] = {}
+        for entry in cr:
+            end = map.end(entry)
+            if end.vertex == vertex:
+                table[entry] = entry
+            else:
+                first_edge = map.path(vertex, end.vertex)[0][0]
+                table[entry] = edge_slot[first_edge.id]
     profiles: dict[str, VertexProfile] = {}
     for vertex in map.vertices:
         slots = {end.label for end in map.ends if end.vertex == vertex}
@@ -419,20 +426,7 @@ def _vertex_profiles(
             for edge in map.edges
             if vertex in (edge.tail, edge.head)
         }
-        quads = []
-        for j, cr in enumerate(crossratios):
-            if satisfied_at[j] != vertex:
-                continue
-            slot_of = {}
-            for entry in cr:
-                end = map.end(entry)
-                if end.vertex == vertex:
-                    slot_of[entry] = entry
-                else:
-                    first_edge = map.path(vertex, end.vertex)[0][0]
-                    slot_of[entry] = edge_slot[first_edge.id]
-            quads.append(Quadruple.of(j, slot_of))
-        profiles[vertex] = VertexProfile(frozenset(slots), tuple(quads))
+        profiles[vertex] = VertexProfile(slots, routes[vertex])
     return profiles
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -181,6 +182,16 @@ def test_non_object_document_is_rejected(capsys, tmp_path, command):
     assert "listed.json: the document must be a JSON object" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "multcr", "mult"])
+def test_deeply_nested_document_is_rejected(capsys, tmp_path, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, nested)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {nested}: the document is nested too deeply\n"
+
+
 @pytest.mark.parametrize("field", ["vertices", "edges", "ends"])
 def test_map_missing_a_field_is_rejected(capsys, tmp_path, field):
     document = json.loads((FIXTURES / "c2_01.json").read_text())
@@ -268,6 +279,22 @@ def test_string_slots_are_rejected(capsys, tmp_path):
     _rejected(capsys, tmp_path, "multcr", document, message)
 
 
+@pytest.mark.parametrize(
+    "crossratio, slots",
+    [
+        ([1, 1, 2, 3], [1, 2, 3, 4, 5]),
+        ([1, 2, 3], [1, 2, 3, 4]),
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4]),
+        ([1, 2, 3, 9], [1, 2, 3, 4]),
+    ],
+    ids=["repeated entry", "three entries", "five entries", "slot outside"],
+)
+def test_malformed_profile_crossratio_is_rejected(capsys, tmp_path, crossratio, slots):
+    document = {"schema": "profile/1", "slots": slots, "crossratios": [crossratio]}
+    message = "cross-ratio 0 must route 4 entries to 4 distinct slots of the profile"
+    _rejected(capsys, tmp_path, "multcr", document, message)
+
+
 def test_boolean_weight_is_rejected(capsys, tmp_path):
     document = _instance_document(lines=[{"label": 3, "weight": True}])
     _rejected(capsys, tmp_path, "eval", document, "line weight: expected an integer, got true")
@@ -321,3 +348,16 @@ def test_any_field_replaced_gets_an_answer_or_one_error_line(command, name, data
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+def test_cli_output_digest_is_pinned():
+    # The byte-identity gate of tools/cli_digest.py: a change meant to
+    # alter what the command line prints updates this pin and says so.
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.digest() == (
+        204,
+        "e5c938e2acb7374b630301de7f6198539b26f752cc8337544a44578949062bd9",
+    )

@@ -108,8 +108,8 @@ def test_resolve_once_discards_starved_sides():
     children = resolve_once(prof, 0, Pairing.of((1, 2), (3, 4)))
     for left, right in children:
         for child in (left, right):
-            for quad in child.quadruples:
-                assert len(quad.slots) == 4
+            for table in child.routes.values():
+                assert len(set(table.values())) == 4
 
 
 def test_resolve_once_brute_matches_partition_count():
@@ -216,16 +216,31 @@ def profiles(draw):
     return slots, [list(q) for q in crs]
 
 
+def split_sets(prof, **choices):
+    return {tree.splits for tree in total_resolutions(prof, **choices)}
+
+
 @given(profiles())
 def test_count_invariant_under_order_and_pairing(prof_data):
+    # the twin renames every entry x to x + 100 but routes it to slot x,
+    # so its pairings must be followed through the routing tables
     slots, crs = prof_data
     prof = profile(slots, crs)
+    twin = VertexProfile(slots, {i: {x + 100: x for x in cr} for i, cr in enumerate(crs)})
     baseline = len(total_resolutions(prof))
     for order in itertools.permutations(range(len(crs))):
-        assert len(total_resolutions(prof, order=order)) == baseline
+        trees = split_sets(prof, order=order)
+        assert len(trees) == baseline
+        assert split_sets(twin, order=order) == trees
     for combo in itertools.product(*(all_pairings(CrossRatio.of(*cr)) for cr in crs)):
         pairings = dict(enumerate(combo))
-        assert len(total_resolutions(prof, pairings=pairings)) == baseline
+        trees = split_sets(prof, pairings=pairings)
+        assert len(trees) == baseline
+        renamed = {
+            i: Pairing.of([x + 100 for x in p.first], [x + 100 for x in p.second])
+            for i, p in pairings.items()
+        }
+        assert split_sets(twin, pairings=renamed) == trees
 
 
 @given(profiles())
