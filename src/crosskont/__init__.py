@@ -44,6 +44,7 @@ from .splits import (
     SubInstancePair,
     build_subinstances,
     enumerate_splits,
+    split_orbits,
 )
 from .stablemap import (
     BoundedEdge,
@@ -87,6 +88,7 @@ __all__ = [
     "SubInstancePair",
     "build_subinstances",
     "enumerate_splits",
+    "split_orbits",
     "BoundedEdge",
     "End",
     "EndTag",

@@ -92,43 +92,31 @@ def _load(path: str) -> Mapping:
     return data
 
 
-def _describe_labels(inst: Instance, labels) -> str:
+def _describe(inst: Instance, head: str, labels, crossratios) -> str:
     marks = {POINT: "p", LINE: "L"}
-    return " ".join(
-        f"{marks.get(inst.condition(x).kind, 'f')}{x}" for x in sorted(labels)
-    )
-
-
-def _describe_instance(inst: Instance) -> str:
-    parts = [f"d={inst.degree}"]
-    if inst.labels:
-        parts.append(_describe_labels(inst, inst.labels))
-    for cr in inst.crossratios:
-        parts.append("cr{%s}" % ",".join(str(x) for x in cr))
+    parts = [head, *(f"{marks.get(inst.condition(x).kind, 'f')}{x}" for x in sorted(labels))]
+    parts.extend("cr{%s}" % ",".join(map(str, cr)) for cr in crossratios)
     return " ".join(parts)
 
 
 def _describe_split(inst: Instance, split: Split) -> str:
-    def side(data) -> str:
-        bits = [f"d={data.degree}:"]
-        if data.labels:
-            bits.append(_describe_labels(inst, data.labels))
-        for j in sorted(data.crossratios):
-            bits.append("cr{%s}" % ",".join(str(x) for x in inst.crossratios[j]))
-        return " ".join(bits)
+    def side(share) -> str:
+        crossratios = [inst.crossratios[j] for j in sorted(share.crossratios)]
+        return _describe(inst, f"d={share.degree}:", share.labels, crossratios)
 
     return f"split [{split.kind}] ({side(split.side1)} | {side(split.side2)})"
 
 
 def render_trace(node: TraceNode) -> list[str]:
     """Indented recursion tree, one evaluated instance per block."""
-    lines = [_describe_instance(node.instance)]
+    inst = node.instance
+    lines = [_describe(inst, f"d={inst.degree}", inst.labels, inst.crossratios)]
     if node.rule == "split" and node.pairing is not None:
         a, b = node.pairing.first
         c, d = node.pairing.second
         lines.append(f"  resolve cr ({a} {b} | {c} {d})")
         for term in node.terms:
-            lines.append("  " + _describe_split(node.instance, term.split))
+            lines.append("  " + _describe_split(inst, term.split))
             for child, name in ((term.left, "side 1"), (term.right, "side 2")):
                 sub = render_trace(child)
                 lines.append(f"    {name}: {sub[0]}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -40,6 +39,7 @@ from .splits import (
     TWO_ZERO_SIDE2_FIXED,
     build_subinstances,
     enumerate_splits,
+    split_orbits,
 )
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -65,19 +65,23 @@ def kontsevich(d: int) -> Count:
         N_d = sum over d1 + d2 = d of
               (d1^2 d2^2 C(3d-4, 3d1-2) - d1^3 d2 C(3d-4, 3d1-1)) N_d1 N_d2
 
-    anchored at N_1 = 1.
+    anchored at N_1 = 1.  Smaller degrees are asked for in increasing order,
+    each cached before the next needs it, so no call nests more than one level.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if d == 1:
         return 1
+    n = [0] + [kontsevich(e) for e in range(1, d)]
+    m = 3 * d - 4  # comb[k] = C(m, k), one row instead of a binomial per term
+    comb = list(itertools.accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1))
     total = 0
-    for d1 in range(1, d):
-        d2 = d - d1
-        total += (
-            d1 * d1 * d2 * d2 * math.comb(3 * d - 4, 3 * d1 - 2)
-            - d1**3 * d2 * math.comb(3 * d - 4, 3 * d1 - 1)
-        ) * kontsevich(d1) * kontsevich(d2)
+    for d1 in range(1, d // 2 + 1):  # (d1, d2) and (d2, d1) share N_d1 N_d2
+        coefficient = sum(
+            a * a * b * b * comb[3 * a - 2] - a**3 * b * comb[3 * a - 1]
+            for a, b in {(d1, d - d1), (d - d1, d1)}
+        )
+        total += coefficient * n[d1] * n[d - d1]
     return total
 
 
@@ -205,8 +209,9 @@ class Engine:
     """Memoized single-threaded evaluator for counting instances.
 
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
-    of the same sub-instance are computed once.  Each split node
-    resolves the first of :func:`resolution_choices`.
+    of the same sub-instance are computed once.  A split node resolves
+    the first of :func:`resolution_choices` and sums over its
+    :func:`split_orbits`, or over every label-level split when traced.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -269,16 +274,19 @@ class Engine:
         self, inst: Instance, choice: Choice, trace: bool
     ) -> tuple[Count, Optional[TraceNode]]:
         last, pairing, line_pair = choice
-        splits = enumerate_splits(inst, last, pairing)
+        if trace:
+            orbits = [(split, 1) for split in enumerate_splits(inst, last, pairing)]
+        else:
+            orbits = split_orbits(inst, last, pairing)
         if line_pair is not None:
-            splits = [split for split in splits if _isolates(inst, split, line_pair)]
+            orbits = [(split, m) for split, m in orbits if _isolates(inst, split, line_pair)]
         value = 0
         terms = []
-        for split in splits:
+        for split, m in orbits:
             pair = build_subinstances(inst, split)
             v1, n1 = self._eval(pair.side1, trace)
             v2, n2 = self._eval(pair.side2, trace)
-            value += v1 * v2
+            value += m * v1 * v2
             if trace:
                 assert n1 is not None and n2 is not None
                 terms.append(TraceTerm(split, n1, n2))

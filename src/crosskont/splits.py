@@ -17,7 +17,8 @@ a point on the other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .conditions import CrossRatio, EndCondition, Instance, Label, Pairing, deficiency
@@ -118,55 +119,71 @@ class SubInstancePair:
     e2: Label
 
 
-def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
-    """All contributing splits of ``inst`` along one cross-ratio.
+def _blocks(inst: Instance, last: int) -> list[list[Label]]:
+    """The labels outside cross-ratio ``last``, blocked by condition and cross-ratio memberships."""
+    blocks: dict = {}
+    for x in inst.labels:
+        if x not in inst.crossratios[last]:
+            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
+            blocks.setdefault(key, []).append(x)
+    return list(blocks.values())
 
-    Parameters
-    ----------
-    inst : Instance
-        A valid instance.
-    last : int
-        Index into ``inst.crossratios`` of the resolved cross-ratio.
-    pairing : Pairing
-        Grouping of that cross-ratio's entries; the first pair is
-        pinned to side 1 and the second to side 2.
 
-    Returns
-    -------
-    list of Split
-        Every distribution of the degree and of the remaining labels
-        whose deficiency vector is (1, 1), (0, 2) or (2, 0), in a fixed
-        deterministic order.  A remaining cross-ratio follows the side
-        holding at least three of its entries; distributions putting
-        two entries on each side are dropped, and each side of a kept
-        split holds at least three entries of each of its cross-ratios.
+def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Split, int]]:
+    """The contributing splits of ``inst`` along cross-ratio ``last``, one per orbit.
+
+    ``pairing`` groups that cross-ratio's entries, its first pair pinned
+    to side 1 and its second to side 2.  A split shares out the degree
+    and the other labels with deficiency vector (1, 1), (0, 2) or (2, 0);
+    a remaining cross-ratio follows the side holding at least three of
+    its entries, and two-two placements are dropped.  Labels with equal
+    condition and cross-ratio memberships are interchangeable, so each
+    count of such labels on side 1 yields one representative (the
+    first labels on side 1) and its multiplicity, the product of
+    C(block size, count).
     """
     resolved = inst.crossratios[last]
     if pairing.entries != resolved.entries:
         raise ValueError("pairing does not match the resolved cross-ratio")
     others = [j for j in range(len(inst.crossratios)) if j != last]
     groups = [inst.crossratios[j].entries for j in others]
-    movable = sorted(set(inst.labels) - resolved.entries)
-    splits: list[Split] = []
-    for labels1, labels2, to1, to2 in placements(
-        groups, frozenset(pairing.first), frozenset(pairing.second), movable
-    ):
-        kinds1 = [inst.conditions[x].kind for x in labels1]
-        kinds2 = [inst.conditions[x].kind for x in labels2]
+    blocks = _blocks(inst, last)
+    orbits: list[tuple[Split, int]] = []
+    for counts in itertools.product(*(range(len(block) + 1) for block in blocks)):
+        labels1 = frozenset(pairing.first).union(*(block[:k] for block, k in zip(blocks, counts)))
+        labels2 = frozenset(inst.labels) - labels1
+        routed = route_groups(groups, labels1)
+        if routed is None:
+            continue
+        to1, to2 = routed
         # On a valid instance the two deficiencies sum to 2, so side 1's,
         # 3 d1 - k1 with k1 = -deficiency(0, ...), lies in 0..2: d1 = ceil(k1 / 3).
-        d1 = -(deficiency(0, kinds1, len(to1)) // 3)
-        d2 = inst.degree - d1
-        kind = KIND_OF_DEFICIENCIES.get(
-            (deficiency(d1, kinds1, len(to1)), deficiency(d2, kinds2, len(to2)))
-        )
-        if kind is None or not 0 <= d1 <= inst.degree:
-            continue
+        d1 = -(deficiency(0, [inst.conditions[x].kind for x in labels1], len(to1)) // 3)
         side1 = SplitSide(d1, labels1, frozenset(others[i] for i in to1))
-        side2 = SplitSide(d2, labels2, frozenset(others[i] for i in to2))
-        splits.append(Split(side1, side2, kind))
-    splits.sort(key=lambda split: split.side1.degree)
-    return splits
+        side2 = SplitSide(inst.degree - d1, labels2, frozenset(others[i] for i in to2))
+        kind = KIND_OF_DEFICIENCIES.get((side1.deficiency(inst), side2.deficiency(inst)))
+        if kind is not None and 0 <= d1 <= inst.degree:
+            weight = math.prod(map(math.comb, map(len, blocks), counts))
+            orbits.append((Split(side1, side2, kind), weight))
+    return orbits
+
+
+def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
+    """Every contributing split, each of :func:`split_orbits` expanded.
+
+    Sorted by side 1's degree, then by the labels it takes beside the
+    pinned pair, fewest first, then in combination order.
+    """
+    blocks = _blocks(inst, last)
+    splits = []
+    for rep, _ in split_orbits(inst, last, pairing):
+        counts = [len(rep.side1.labels.intersection(block)) for block in blocks]
+        for chosen in itertools.product(*map(itertools.combinations, blocks, counts)):
+            labels1 = frozenset(pairing.first).union(*chosen)
+            side2 = replace(rep.side2, labels=frozenset(inst.labels) - labels1)
+            splits.append(Split(replace(rep.side1, labels=labels1), side2, rep.kind))
+    moved = lambda split: sorted(split.side1.labels - set(pairing.first))
+    return sorted(splits, key=lambda split: (split.side1.degree, len(moved(split)), moved(split)))
 
 
 def build_subinstances(inst: Instance, split: Split) -> SubInstancePair:

@@ -205,6 +205,39 @@ def test_map_missing_a_field_is_rejected(capsys, tmp_path, field):
     assert f"missing field '{field}' in stablemap file" in err
 
 
+def _kontsevich_residue(dmax: int, prime: int) -> int:
+    """N_dmax mod ``prime`` from the classical recursion, binomials by Pascal's rule mod ``prime``."""
+    n = [0, 1]
+    row = [1]
+    for d in range(2, dmax + 1):
+        while len(row) < 3 * d - 3:  # row[k] = C(3d - 4, k) mod prime
+            row = [(a + b) % prime for a, b in zip([0, *row], [*row, 0])]
+        total = sum(
+            (d1 * d1 * (d - d1) ** 2 * row[3 * d1 - 2] - d1**3 * (d - d1) * row[3 * d1 - 1])
+            * n[d1]
+            * n[d - d1]
+            for d1 in range(1, d)
+        )
+        n.append(total % prime)
+    return n[dmax]
+
+
+def test_eval_answers_a_point_only_degree_500_instance(capsys, tmp_path):
+    # 1,499 points pin down N_500; the smaller degrees are cached bottom-up,
+    # so no degree may reach the interpreter's recursion limit
+    points = tmp_path / "points.json"
+    points.write_text(
+        json.dumps({"schema": "instance/1", "degree": 500, "points": list(range(1, 1500))})
+    )
+    code, out, err = run(capsys, "eval", points)
+    assert code == 0
+    assert err == ""
+    count = out.splitlines()[-1]
+    assert len(count) == 3673
+    prime = 2**61 - 1
+    assert int(count) % prime == _kontsevich_residue(500, prime)
+
+
 def test_missing_file_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "eval", tmp_path / "nowhere.json")
     assert code == 1

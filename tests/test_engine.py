@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -213,7 +214,7 @@ def _perfbench_oracles():
     return module
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("degree", list(range(2, 13)))
 @pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
 def test_one_cross_ratio_family_matches_the_closed_form(degree, weights):
     # the Gathmann-Markwig closed form shares no code with the engine
@@ -221,7 +222,7 @@ def test_one_cross_ratio_family_matches_the_closed_form(degree, weights):
     assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("degree", list(range(2, 13)))
 @pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
 def test_one_cross_ratio_family_matches_the_second_closed_form(degree, weights):
     # Gathmann and Markwig's argument under the pairing (p1 p2 | a b), where N_d
@@ -234,6 +235,42 @@ def test_one_cross_ratio_family_matches_the_second_closed_form(degree, weights):
     )
     expected = weights[0] * weights[1] * (n[degree] + sum(terms))
     assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
+
+
+def _golden_eval_multi_shapes():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
+    return json.loads(path.read_text())["shapes"]
+
+
+def _label_level_value(inst):
+    # the traced path walks every label-level split with multiplicity one
+    return Engine().evaluate_traced(inst)[0]
+
+
+def test_orbit_splits_match_label_level_splits_on_the_corpus():
+    checked = [inst for inst in CORPUS if inst.crossratios]
+    for inst in checked:
+        assert Engine().evaluate(inst) == _label_level_value(inst)
+    assert len(checked) > 30
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
+def test_orbit_splits_match_label_level_splits_on_the_family(degree, weights):
+    inst = one_cross_ratio_family(degree, *weights)
+    assert Engine().evaluate(inst) == _label_level_value(inst)
+
+
+@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
+    inst = Instance.build(
+        shape["degree"],
+        points=shape["points"],
+        lines=[tuple(line) for line in shape["lines"]],
+        free=shape["free"],
+        crossratios=shape["crossratios"],
+    )
+    assert Engine().evaluate(inst) == _label_level_value(inst) == shape["count"]
 
 
 @given(data=st.data())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given
@@ -13,13 +14,15 @@ from crosskont import (
     Instance,
     Pairing,
     build_subinstances,
+    canonical_key,
     enumerate_splits,
+    split_orbits,
     validate,
 )
 from crosskont.conditions import all_pairings, canonical_pairing
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED, Split, SplitSide
 
-from corpus import SMALL, one_cross_ratio_family
+from corpus import CORPUS, SMALL, one_cross_ratio_family
 
 WORKED = Instance.build(
     2, points=[1, 2, 3], lines={4: 1, 5: 1}, crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]]
@@ -157,6 +160,42 @@ def test_splits_match_brute_force_on_the_one_cross_ratio_family(degree):
         assert set(got) == brute_splits(inst, 0, pairing)
         kept += len(got)
     assert kept > 0
+
+
+def _side1_counts(inst: Instance, last: int, split: Split) -> frozenset:
+    """How many labels of each (kind, weight, cross-ratio memberships) class side 1 takes."""
+    counts = Counter()
+    for x in split.side1.labels - inst.crossratios[last].entries:
+        cond = inst.condition(x)
+        counts[cond.kind, cond.weight, tuple(x in cr for cr in inst.crossratios)] += 1
+    return frozenset(counts.items())
+
+
+def _sub_keys(inst: Instance, split: Split) -> tuple[bytes, bytes]:
+    pair = build_subinstances(inst, split)
+    return canonical_key(pair.side1), canonical_key(pair.side2)
+
+
+def test_split_orbits_group_the_label_level_splits():
+    cases = 0
+    for inst in CORPUS:
+        for last in range(len(inst.crossratios)):
+            for pairing in all_pairings(inst.crossratios[last]):
+                orbits = split_orbits(inst, last, pairing)
+                splits = enumerate_splits(inst, last, pairing)
+                assert sum(m for _, m in orbits) == len(splits)
+                members = defaultdict(list)
+                for split in splits:
+                    members[_side1_counts(inst, last, split)].append(split)
+                assert len(members) == len(orbits)
+                for rep, m in orbits:
+                    expanded = members[_side1_counts(inst, last, rep)]
+                    assert rep in expanded
+                    assert len(set(expanded)) == len(expanded) == m
+                    keys = _sub_keys(inst, rep)
+                    assert all(_sub_keys(inst, split) == keys for split in expanded)
+                cases += 1
+    assert cases == 183
 
 
 def test_sub_instances_are_well_posed():
