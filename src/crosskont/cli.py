@@ -25,6 +25,7 @@ All output is exact decimal; the count is always the last stdout line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Mapping, Sequence
@@ -222,9 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and reused afterwards; the
+# lambda looks ``build_parser`` up at call time, so a wrapper put on it is seen.
+_parser = functools.cache(lambda: build_parser())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ResourceLimitError, ValueError, OSError) as err:

@@ -202,9 +202,11 @@ class StableMap:
         for edge in self.edges:
             if edge.tail not in known or edge.head not in known:
                 raise ValueError(f"edge {edge.id} touches an unknown vertex")
+        ends_at: dict[str, list[Vec]] = {vertex: [] for vertex in self.vertices}
         for end in self.ends:
             if end.vertex not in known:
                 raise ValueError(f"end {end.label} sits at an unknown vertex")
+            ends_at[end.vertex].append(end.direction)
         ids = [edge.id for edge in self.edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
@@ -215,7 +217,7 @@ class StableMap:
         adjacency = self._adjacency()
         for vertex in self.vertices:
             vectors = [(sign * e.vector[0], sign * e.vector[1]) for _, e, sign in adjacency[vertex]]
-            vectors += [end.direction for end in self.ends if end.vertex == vertex]
+            vectors += ends_at[vertex]
             if (sum(x for x, _ in vectors), sum(y for _, y in vectors)) != (0, 0):
                 raise ValueError(f"vertex {vertex} is not balanced")
         counts = {direction: 0 for direction in _STANDARD_DIRECTIONS}
@@ -327,28 +329,37 @@ class EvMatrix:
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of an integer matrix by sparse unimodular elimination.
+
+    Rows become ``{column: nonzero entry}``; per column, Euclid's algorithm
+    on the rows holding it leaves one, which Laplace expansion removes.
+    Made for the sparse rows of :func:`ev_matrix`; slower than Bareiss on dense ones.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    m = [list(row) for row in rows]
-    sign = 1
-    previous = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-            m[i][k] = 0
-        previous = m[k][k]
-    return sign * m[n - 1][n - 1]
+    alive = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    det = 1
+    for k in range(n):
+        holding = [i for i, row in enumerate(alive) if k in row]
+        if not holding:
+            return 0
+        while len(holding) > 1:
+            p = min(holding, key=lambda i: (abs(alive[i][k]), len(alive[i])))
+            pivot = alive[p]
+            for row in (alive[i] for i in holding if i != p):
+                factor = row[k] // pivot[k]
+                for j, x in pivot.items():
+                    value = row.get(j, 0) - factor * x
+                    if value:
+                        row[j] = value
+                    else:
+                        del row[j]
+            holding = [i for i in holding if k in alive[i]]
+        # expanding along column k: the sign is that of the row's position among the alive rows
+        position = holding[0]
+        det *= alive.pop(position)[k] * (-1) ** position
+    return det
 
 
 def ev_matrix(map: StableMap) -> EvMatrix:
@@ -359,6 +370,7 @@ def ev_matrix(map: StableMap) -> EvMatrix:
     conditioned end, zero off the path.
     """
     base_vertex = map.end(map.base).vertex
+    parents = map._parents(base_vertex)
     length_edges = [edge for edge in map.edges if not edge.contracted]
     column_of = {edge.id: 2 + i for i, edge in enumerate(length_edges)}
     width = 2 + len(length_edges)
@@ -367,12 +379,13 @@ def ev_matrix(map: StableMap) -> EvMatrix:
     for end in sorted(map.ends, key=lambda e: e.label):
         if end.tag is None or end.tag.kind == FREE:
             continue
+        # climb to the base; each edge owns its column, so the order of the shifts is immaterial
         shifts: list[tuple[int, Vec]] = []
-        for edge, sign in map.path(base_vertex, end.vertex):
-            if edge.contracted:
-                continue
-            vector = edge.vector
-            shifts.append((column_of[edge.id], (sign * vector[0], sign * vector[1])))
+        here = end.vertex
+        while here != base_vertex:
+            here, edge, sign = parents[here]
+            if not edge.contracted:
+                shifts.append((column_of[edge.id], (sign * edge.vector[0], sign * edge.vector[1])))
         if end.tag.kind == POINT:
             for coord in range(2):
                 row = [0] * width
@@ -418,16 +431,11 @@ def _vertex_profiles(
             else:
                 first_edge = map.path(vertex, end.vertex)[0][0]
                 table[entry] = edge_slot[first_edge.id]
-    profiles: dict[str, VertexProfile] = {}
-    for vertex in map.vertices:
-        slots = {end.label for end in map.ends if end.vertex == vertex}
-        slots |= {
-            edge_slot[edge.id]
-            for edge in map.edges
-            if vertex in (edge.tail, edge.head)
-        }
-        profiles[vertex] = VertexProfile(slots, routes[vertex])
-    return profiles
+    adjacency = map._adjacency()
+    slots = {v: {edge_slot[edge.id] for _, edge, _ in adjacency[v]} for v in map.vertices}
+    for end in map.ends:
+        slots[end.vertex].add(end.label)
+    return {vertex: VertexProfile(slots[vertex], routes[vertex]) for vertex in map.vertices}
 
 
 def multiplicity(map: StableMap, crossratios: Sequence[CrossRatio] = ()) -> Count:

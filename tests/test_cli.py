@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crosskont import cli
 from crosskont.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -268,6 +269,41 @@ def test_nonpositive_arguments_are_rejected_by_the_parser(capsys):
         main(["kontsevich", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _captured(argv):
+    """(exit code, stdout, stderr) of one ``main`` call; a parser exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch):
+    example = str(FIXTURES / "worked_example_23.json")
+    calls = [
+        ["eval", example, "--jobs", "0"],
+        ["eval", "--max-nodes", "1", example],
+        ["eval", "--trace", example],
+        ["eval", example],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [_captured(argv) for argv in calls + calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_captured(argv))
+    assert reused == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 1, 0, 0]
+    assert fresh[1][2].startswith("error:")
+    assert fresh[3][1] == "6\n"
 
 
 def _rejected(capsys, tmp_path, command, document, message):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import itertools
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from crosskont.stablemap import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load_map(name: str):
@@ -250,6 +254,8 @@ def test_integer_determinant_known_values():
     assert integer_determinant([[1, 2], [3, 4]]) == -2
     assert integer_determinant([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert integer_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    with pytest.raises(ValueError, match="not square"):
+        integer_determinant([[1, 2], [3]])
 
 
 def fraction_determinant(rows) -> Fraction:
@@ -283,6 +289,82 @@ def fraction_determinant(rows) -> Fraction:
 )
 def test_integer_determinant_matches_exact_elimination(rows):
     assert integer_determinant([list(r) for r in rows]) == fraction_determinant(rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices up to 12 x 12 with at most 30 % of their entries nonzero."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=3 * n * n // 10, unique=True))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in chosen:
+        rows[i][j] = draw(st.integers(min_value=-50, max_value=50).filter(bool))
+    return rows
+
+
+@given(sparse_matrices())
+def test_integer_determinant_matches_exact_elimination_on_sparse_matrices(rows):
+    assert integer_determinant(rows) == fraction_determinant(rows)
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _benchmark_maps() -> list[tuple[str, dict]]:
+    """The mult workload's documents: the four map fixtures and the 70 stored draws."""
+    items = _perfbench_module("workloads").mult(1)
+    return [(item.name, item.doc) for item in items]
+
+
+def test_benchmark_maps_match_the_independent_oracle():
+    # perfbench/oracles.py builds the matrix from its own tree walk and
+    # takes the determinant over Fraction; it shares no code with the package
+    oracles = _perfbench_module("oracles")
+    maps = _benchmark_maps()
+    assert len(maps) == 74
+    for name, doc in maps:
+        plane_map, crossratios = stablemap_from_dict(doc)
+        assert multiplicity(plane_map, crossratios) == oracles.map_multiplicity_oracle(doc), name
+        rows = ev_matrix(plane_map).rows
+        assert integer_determinant(rows) == oracles.fraction_determinant(rows), name
+
+
+def _ev_matrix_by_paths(plane_map: StableMap):
+    """(rows, row labels, columns) with one ``path`` search from the base per row."""
+    base_vertex = plane_map.end(plane_map.base).vertex
+    length_edges = [edge for edge in plane_map.edges if not edge.contracted]
+    column_of = {edge.id: 2 + i for i, edge in enumerate(length_edges)}
+    rows, labels = [], []
+    for end in sorted(plane_map.ends, key=lambda e: e.label):
+        if end.tag is None or end.tag.kind == "free":
+            continue
+        position = [[1, 0] + [0] * len(length_edges), [0, 1] + [0] * len(length_edges)]
+        for edge, sign in plane_map.path(base_vertex, end.vertex):
+            if not edge.contracted:
+                for coord in range(2):
+                    position[coord][column_of[edge.id]] = sign * edge.vector[coord]
+        if end.tag.kind == "point":
+            rows += [tuple(position[0]), tuple(position[1])]
+            labels += [f"{end.label}.x", f"{end.label}.y"]
+        else:
+            (nx, ny), w = end.tag.normal, end.tag.weight
+            rows.append(tuple(w * (nx * a + ny * b) for a, b in zip(*position)))
+            labels.append(str(end.label))
+    return tuple(rows), tuple(labels), ("x", "y") + tuple(edge.id for edge in length_edges)
+
+
+def test_single_walk_keeps_the_evaluation_matrix():
+    for name, doc in _benchmark_maps():
+        plane_map, _ = stablemap_from_dict(doc)
+        matrix = ev_matrix(plane_map)
+        assert (matrix.rows, matrix.row_labels, matrix.columns) == _ev_matrix_by_paths(plane_map), name
 
 
 def test_multiplicity_requires_a_square_matrix():
