@@ -278,38 +278,76 @@ def validate(inst: Instance) -> Validation:
     return Validation(True)
 
 
-_KIND_RANK = {POINT: 0, LINE: 1, FREE: 2}
+KIND_RANK = {POINT: 0, LINE: 1, FREE: 2}
 _MAX_LISTINGS = 720
+
+# (kind rank, weight, membership vector): a label's condition and which
+# listed cross-ratios hold it.  Labels with equal rows are interchangeable.
+Row = tuple[int, int, tuple[bool, ...]]
+
+
+def condition_row(cond: EndCondition, membership: tuple[bool, ...]) -> Row:
+    return KIND_RANK[cond.kind], cond.weight, membership
+
+
+def label_rows(inst: Instance) -> dict[Row, int]:
+    """How many labels of ``inst`` share each row, over its listed cross-ratios."""
+    crs = [cr.entries for cr in inst.crossratios]
+    rows: dict[Row, int] = {}
+    for label, cond in inst.conditions.items():
+        row = condition_row(cond, tuple(label in cr for cr in crs))
+        rows[row] = rows.get(row, 0) + 1
+    return rows
+
+
+def rows_key(degree: int, rows: Mapping[Row, int]) -> bytes:
+    """Fingerprint of the instance with this degree and these row counts.
+
+    An instance is fixed up to relabelling by its degree and the
+    multiset of its rows.  The key takes the least such multiset over
+    the listings that sort the cross-ratios by the sorted (kind rank,
+    weight, membership count) of their entries, permuting only runs of
+    equal signatures.  Past ``_MAX_LISTINGS`` such listings it keeps
+    the given order within each run: equal keys still mean isomorphic
+    instances, but relabelled copies may no longer share one.
+    """
+    width = len(next(iter(rows))[2]) if rows else 0
+    orders = [range(width)] if width < 2 else _listings(rows, width)
+    best = min(
+        sorted(
+            [
+                (rank, weight, tuple(map(vec.__getitem__, order)), n)
+                for (rank, weight, vec), n in rows.items()
+            ]
+        )
+        for order in orders
+    )
+    return repr((degree, best)).encode()
+
+
+def _listings(rows: Mapping[Row, int], width: int) -> list[list[int]]:
+    """The column orders :func:`rows_key` minimizes over."""
+    signature: list[list] = [[] for _ in range(width)]
+    for (rank, weight, vec), n in rows.items():
+        for j in itertools.compress(range(width), vec):
+            signature[j] += [(rank, weight, sum(vec))] * n
+    for entries in signature:
+        entries.sort()
+    by_signature = sorted(range(width), key=signature.__getitem__)
+    runs = [list(run) for _, run in itertools.groupby(by_signature, signature.__getitem__)]
+    if math.prod(math.factorial(len(run)) for run in runs) > _MAX_LISTINGS:
+        return [by_signature]
+    permuted = itertools.product(*map(itertools.permutations, runs))
+    return [list(itertools.chain(*listing)) for listing in permuted]
 
 
 def canonical_key(inst: Instance) -> bytes:
     """Fingerprint invariant under relabelling of the contracted ends.
 
-    With the cross-ratios listed in some order, an instance is fixed up to
-    relabelling by its degree and the multiset of (kind rank, weight,
-    membership vector) over its labels; the vector says which listed
-    cross-ratios hold the label.  The key takes the least such multiset
-    over the listings that sort the cross-ratios by the sorted (kind
-    rank, weight, membership count) of their entries, permuting only
-    runs of equal signatures.  Past ``_MAX_LISTINGS`` such listings it
-    keeps the given order within each run: equal keys still mean
-    isomorphic instances, but relabelled copies may no longer share one.
+    It is the :func:`rows_key` of the instance's :func:`label_rows`;
+    equal keys mean isomorphic instances.
     """
-    crs = [cr.entries for cr in inst.crossratios]
-    rank = {label: (_KIND_RANK[cond.kind], cond.weight) for label, cond in inst.conditions.items()}
-    count = {label: sum(label in cr for cr in crs) for label in rank}
-    signature = {cr: sorted((*rank[x], count[x]) for x in cr) for cr in crs}
-    by_signature = sorted(crs, key=signature.get)
-    runs = [list(run) for _, run in itertools.groupby(by_signature, signature.get)]
-    if math.prod(math.factorial(len(run)) for run in runs) > _MAX_LISTINGS:
-        listings = [runs]
-    else:
-        listings = itertools.product(*map(itertools.permutations, runs))
-    best = min(
-        sorted((*rank[x], tuple(x in cr for cr in itertools.chain(*listing))) for x in rank)
-        for listing in listings
-    )
-    return repr((inst.degree, best)).encode()
+    return rows_key(inst.degree, label_rows(inst))
 
 
 def json_checked(value: Any, what: str, *shape: int, leaf: type = int) -> Any:

@@ -20,26 +20,34 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .conditions import (
+    FREE,
+    KIND_RANK,
+    LINE,
+    POINT,
     Count,
     Instance,
-    LINE,
     Pairing,
+    Row,
     all_pairings,
     canonical_key,
+    label_rows,
+    rows_key,
     validate,
 )
 from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import (
     Split,
+    SplitSide,
     TWO_ZERO_SIDE1_FIXED,
     TWO_ZERO_SIDE2_FIXED,
     build_subinstances,
     enumerate_splits,
-    split_orbits,
+    orbit_rows,
 )
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -85,43 +93,63 @@ def kontsevich(d: int) -> Count:
     return total
 
 
-def base_no_crossratios(inst: Instance) -> Count:
-    """Count for a valid instance without cross-ratios.
+def _star_scale(points: int, line_weights: Sequence[int], free: int, crossratios: int) -> int:
+    """Weight factor of a degree-zero star, 0 unless it is rigid.
+
+    The vertex is rigid in exactly two shapes: pinned to the
+    intersection of two multi lines with l + 1 free ends, scaled by the
+    product of the line weights, or to one point with l + 2 free ends.
+    Any other shape leaves the vertex loose or over-determined.
+    """
+    if not points and len(line_weights) == 2 and free == crossratios + 1:
+        return line_weights[0] * line_weights[1]
+    if points == 1 and not line_weights and free == crossratios + 2:
+        return 1
+    return 0
+
+
+def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
+    """Count for a valid instance without cross-ratios, from its row counts.
 
     For positive degree the points pin down ``kontsevich(d)`` curves,
     each multi line contributes its weight times d intersection points,
     and any free end makes the count vanish (the points are then in
-    excess).  A degree-zero map contracts to a single vertex, counted
-    by :func:`base_degree_zero` with no cross-ratios.
+    excess).  A degree-zero map contracts to a single vertex, which
+    counts 1 in the rigid shapes of :func:`base_degree_zero`, times the
+    line weights, and 0 otherwise.
     """
-    if inst.degree == 0:
-        return base_degree_zero(inst)
-    if inst.free:
+    points = free = 0
+    weights = []
+    for (rank, weight, _), n in rows.items():
+        if rank == KIND_RANK[POINT]:
+            points += n
+        elif rank == KIND_RANK[FREE]:
+            free += n
+        else:
+            weights += [weight] * n
+    if degree == 0:
+        return _star_scale(points, weights, free, 0)
+    if free:
         return 0
-    product = kontsevich(inst.degree)
-    for label in inst.lines:
-        product *= inst.condition(label).weight * inst.degree
-    return product
+    return kontsevich(degree) * math.prod(weight * degree for weight in weights)
+
+
+def base_no_crossratios(inst: Instance) -> Count:
+    """Count for a valid instance without cross-ratios: :func:`base_from_rows` of its rows."""
+    return base_from_rows(inst.degree, label_rows(inst))
 
 
 def base_degree_zero(inst: Instance) -> Count:
     """Count for a valid degree-zero instance with l >= 0 cross-ratios.
 
     Such curves are stars: one vertex carrying every contracted end.
-    The vertex is rigid in exactly two shapes, pinned to the
-    intersection of two multi lines with l + 1 free ends or to one
-    point with l + 2 free ends, and each then counts its cross-ratio
+    A rigid star (see :func:`_star_scale`) counts its cross-ratio
     multiplicity (one for l = 0), weighted by the product of the line
-    weights in the first shape.  Any other shape leaves the vertex
-    loose or over-determined.
+    weights when it sits on two multi lines.
     """
-    lines = inst.lines
-    l = len(inst.crossratios)
-    if not inst.points and len(lines) == 2 and len(inst.free) == l + 1:
-        scale = inst.condition(lines[0]).weight * inst.condition(lines[1]).weight
-    elif len(inst.points) == 1 and not lines and len(inst.free) == l + 2:
-        scale = 1
-    else:
+    weights = [inst.condition(label).weight for label in inst.lines]
+    scale = _star_scale(len(inst.points), weights, len(inst.free), len(inst.crossratios))
+    if not scale:
         return 0
     return scale * cross_ratio_multiplicity(VertexProfile.of(inst.labels, inst.crossratios))
 
@@ -210,8 +238,11 @@ class Engine:
 
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
     of the same sub-instance are computed once.  A split node resolves
-    the first of :func:`resolution_choices` and sums over its
-    :func:`split_orbits`, or over every label-level split when traced.
+    the first of :func:`resolution_choices` and sums over its split
+    orbits, or over every label-level split when traced.  Untraced, a
+    side is keyed by :func:`rows_key` of its row counts, the same key as
+    the built side's; a side without cross-ratios is valued in place,
+    any other is built only on a memo miss.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -220,6 +251,7 @@ class Engine:
         self.max_nodes = max_nodes
         self._memo: dict[bytes, Count] = {}
         self._nodes = 0
+        self._terms = 0
 
     def evaluate(self, inst: Instance, choice: Choice | None = None) -> Count:
         """Count the curves of ``inst``.
@@ -246,9 +278,20 @@ class Engine:
             value = self._memo[key]
             node = TraceNode(inst, "memo", value) if trace else None
             return value, node
+        return self._node(inst, key, trace, choice)
+
+    def _count_node(self) -> None:
         self._nodes += 1
         if self._nodes > self.max_nodes:
-            raise ResourceLimitError(f"more than {self.max_nodes} recursion nodes")
+            raise ResourceLimitError(
+                f"more than {self.max_nodes} recursion nodes after {self._terms} split terms"
+            )
+
+    def _node(
+        self, inst: Instance, key: bytes | None, trace: bool, choice: Choice | None = None
+    ) -> tuple[Count, Optional[TraceNode]]:
+        """Evaluate an instance the memo lacks and store it under ``key``."""
+        self._count_node()
         node: Optional[TraceNode] = None
         if not inst.crossratios:
             value = base_no_crossratios(inst)
@@ -261,39 +304,56 @@ class Engine:
                 choice = next(resolution_choices(inst), None)
             if choice is None:
                 value, rule = 0, "no line pair"
-            else:
-                value, node = self._split(inst, choice, trace)
+            elif trace:
+                value, node = self._traced_split(inst, choice)
                 rule = "split"
+            else:
+                value, rule = self._orbit_sum(inst, choice), "split"
         if key is not None:
             self._memo[key] = value
         if trace and rule != "split":
             node = TraceNode(inst, rule, value)
         return value, node
 
-    def _split(
-        self, inst: Instance, choice: Choice, trace: bool
-    ) -> tuple[Count, Optional[TraceNode]]:
+    def _traced_split(self, inst: Instance, choice: Choice) -> tuple[Count, TraceNode]:
         last, pairing, line_pair = choice
-        if trace:
-            orbits = [(split, 1) for split in enumerate_splits(inst, last, pairing)]
-        else:
-            orbits = split_orbits(inst, last, pairing)
+        splits = enumerate_splits(inst, last, pairing)
         if line_pair is not None:
-            orbits = [(split, m) for split, m in orbits if _isolates(inst, split, line_pair)]
+            splits = [split for split in splits if _isolates(inst, split, line_pair)]
         value = 0
         terms = []
-        for split, m in orbits:
+        for split in splits:
             pair = build_subinstances(inst, split)
-            v1, n1 = self._eval(pair.side1, trace)
-            v2, n2 = self._eval(pair.side2, trace)
-            value += m * v1 * v2
-            if trace:
-                assert n1 is not None and n2 is not None
-                terms.append(TraceTerm(split, n1, n2))
-        node = (
-            TraceNode(inst, "split", value, last, pairing, tuple(terms)) if trace else None
-        )
-        return value, node
+            v1, n1 = self._eval(pair.side1, True)
+            v2, n2 = self._eval(pair.side2, True)
+            assert n1 is not None and n2 is not None
+            value += v1 * v2
+            self._terms += 1
+            terms.append(TraceTerm(split, n1, n2))
+        return value, TraceNode(inst, "split", value, last, pairing, tuple(terms))
+
+    def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
+        last, pairing, line_pair = choice
+        value = 0
+        for split, m, rows1, rows2 in orbit_rows(inst, last, pairing):
+            if line_pair is None or _isolates(inst, split, line_pair):
+                v1 = self._side(inst, split, split.side1, rows1)
+                v2 = self._side(inst, split, split.side2, rows2)
+                value += m * v1 * v2
+                self._terms += 1
+        return value
+
+    def _side(self, inst: Instance, split: Split, side: SplitSide, rows: dict[Row, int]) -> Count:
+        """Value of one side of a split: from the memo, in place, or built and evaluated."""
+        key = rows_key(side.degree, rows)
+        if key in self._memo:
+            return self._memo[key]
+        if not side.crossratios:
+            self._count_node()
+            value = self._memo[key] = base_from_rows(side.degree, rows)
+            return value
+        pair = build_subinstances(inst, split)
+        return self._node(pair.side1 if side is split.side1 else pair.side2, key, False)[0]
 
 
 def _check(inst: Instance) -> None:

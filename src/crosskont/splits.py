@@ -21,7 +21,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .conditions import CrossRatio, EndCondition, Instance, Label, Pairing, deficiency
+from .conditions import (
+    CrossRatio,
+    EndCondition,
+    Instance,
+    Label,
+    Pairing,
+    Row,
+    condition_row,
+    deficiency,
+)
 
 ONE_ONE = "1/1"
 TWO_ZERO_SIDE1_FIXED = "2/0 side 1 fixed"
@@ -34,6 +43,7 @@ KIND_OF_DEFICIENCIES = {
     (2, 0): TWO_ZERO_SIDE2_FIXED,
 }
 
+# The conditions of the connecting edge's fresh ends on side 1 and side 2, by split kind.
 _E_CONDITIONS = {
     ONE_ONE: (EndCondition.line(1), EndCondition.line(1)),
     TWO_ZERO_SIDE1_FIXED: (EndCondition.free(), EndCondition.point()),
@@ -129,6 +139,45 @@ def _blocks(inst: Instance, last: int) -> list[list[Label]]:
     return list(blocks.values())
 
 
+def _block_orbits(
+    inst: Instance, last: int, pairing: Pairing
+) -> tuple[list[list[Label]], list[tuple[Split, int, tuple[int, ...]]]]:
+    """The blocks of :func:`split_orbits` and its orbits with their count vectors.
+
+    Returns (blocks, [(representative, multiplicity, counts)]), where
+    ``counts`` says how many labels of each block side 1 takes.
+    """
+    resolved = inst.crossratios[last]
+    if pairing.entries != resolved.entries:
+        raise ValueError("pairing does not match the resolved cross-ratio")
+    others = [j for j in range(len(inst.crossratios)) if j != last]
+    groups = [inst.crossratios[j].entries for j in others]
+    blocks = _blocks(inst, last)
+    everything = frozenset(inst.labels)
+    kinds = {x: cond.kind for x, cond in inst.conditions.items()}
+    orbits = []
+    for counts in itertools.product(*(range(len(block) + 1) for block in blocks)):
+        labels1 = frozenset(pairing.first).union(*(block[:k] for block, k in zip(blocks, counts)))
+        routed = route_groups(groups, labels1)
+        if routed is None:
+            continue
+        to1, to2 = routed
+        # Side 1 contributes only with deficiency 3 d1 + excess in 0..2, which
+        # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
+        excess = deficiency(0, [kinds[x] for x in labels1], len(to1))
+        d1 = -(excess // 3)
+        if 0 <= d1 <= inst.degree:
+            side1 = SplitSide(d1, labels1, frozenset(others[i] for i in to1))
+            side2 = SplitSide(
+                inst.degree - d1, everything - labels1, frozenset(others[i] for i in to2)
+            )
+            delta = 3 * d1 + excess
+            kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
+            weight = math.prod(map(math.comb, map(len, blocks), counts))
+            orbits.append((Split(side1, side2, kind), weight, counts))
+    return blocks, orbits
+
+
 def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Split, int]]:
     """The contributing splits of ``inst`` along cross-ratio ``last``, one per orbit.
 
@@ -142,30 +191,51 @@ def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Spli
     first labels on side 1) and its multiplicity, the product of
     C(block size, count).
     """
-    resolved = inst.crossratios[last]
-    if pairing.entries != resolved.entries:
-        raise ValueError("pairing does not match the resolved cross-ratio")
-    others = [j for j in range(len(inst.crossratios)) if j != last]
-    groups = [inst.crossratios[j].entries for j in others]
-    blocks = _blocks(inst, last)
-    orbits: list[tuple[Split, int]] = []
-    for counts in itertools.product(*(range(len(block) + 1) for block in blocks)):
-        labels1 = frozenset(pairing.first).union(*(block[:k] for block, k in zip(blocks, counts)))
-        labels2 = frozenset(inst.labels) - labels1
-        routed = route_groups(groups, labels1)
-        if routed is None:
-            continue
-        to1, to2 = routed
-        # On a valid instance the two deficiencies sum to 2, so side 1's,
-        # 3 d1 - k1 with k1 = -deficiency(0, ...), lies in 0..2: d1 = ceil(k1 / 3).
-        d1 = -(deficiency(0, [inst.conditions[x].kind for x in labels1], len(to1)) // 3)
-        side1 = SplitSide(d1, labels1, frozenset(others[i] for i in to1))
-        side2 = SplitSide(inst.degree - d1, labels2, frozenset(others[i] for i in to2))
-        kind = KIND_OF_DEFICIENCIES.get((side1.deficiency(inst), side2.deficiency(inst)))
-        if kind is not None and 0 <= d1 <= inst.degree:
-            weight = math.prod(map(math.comb, map(len, blocks), counts))
-            orbits.append((Split(side1, side2, kind), weight))
-    return orbits
+    return [(split, weight) for split, weight, _ in _block_orbits(inst, last, pairing)[1]]
+
+
+def orbit_rows(
+    inst: Instance, last: int, pairing: Pairing
+) -> list[tuple[Split, int, dict[Row, int], dict[Row, int]]]:
+    """:func:`split_orbits`, each with the row counts of its two sub-instances.
+
+    The rows come from block counts, without building the sub-instances:
+    a side has the rows of its pinned pair and of the labels it takes
+    from each block, over the cross-ratios routed to it, and the row of
+    its fresh end, which belongs to a routed cross-ratio exactly when
+    three of that cross-ratio's entries sit on the side.  They equal
+    :func:`label_rows` of the sides :func:`build_subinstances` builds.
+    """
+    blocks, orbits = _block_orbits(inst, last, pairing)
+    crs = [cr.entries for cr in inst.crossratios]
+    row_of = lambda x: condition_row(inst.conditions[x], tuple(x in cr for cr in crs))
+    # side 1's pinned pair, side 2's pinned pair, then one row per block
+    parent = [row_of(x) for x in (*pairing.first, *pairing.second)]
+    parent += [row_of(block[0]) for block in blocks]
+    projected: dict[frozenset[int], list[Row]] = {}
+
+    def side_rows(side: SplitSide, end: EndCondition, shares: Sequence[int]) -> dict[Row, int]:
+        cols = sorted(side.crossratios)
+        if side.crossratios not in projected:
+            projected[side.crossratios] = [
+                (rank, weight, tuple(map(vec.__getitem__, cols))) for rank, weight, vec in parent
+            ]
+        rows: dict[Row, int] = {}
+        for row, n in zip(projected[side.crossratios], shares):
+            if n:
+                rows[row] = rows.get(row, 0) + n
+        fresh = condition_row(end, tuple(len(crs[j] & side.labels) == 3 for j in cols))
+        rows[fresh] = rows.get(fresh, 0) + 1
+        return rows
+
+    sides = []
+    for split, weight, counts in orbits:
+        end1, end2 = _E_CONDITIONS[split.kind]
+        rest = [len(block) - k for block, k in zip(blocks, counts)]
+        rows1 = side_rows(split.side1, end1, (1, 1, 0, 0, *counts))
+        rows2 = side_rows(split.side2, end2, (0, 0, 1, 1, *rest))
+        sides.append((split, weight, rows1, rows2))
+    return sides
 
 
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
@@ -174,10 +244,9 @@ def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]
     Sorted by side 1's degree, then by the labels it takes beside the
     pinned pair, fewest first, then in combination order.
     """
-    blocks = _blocks(inst, last)
+    blocks, orbits = _block_orbits(inst, last, pairing)
     splits = []
-    for rep, _ in split_orbits(inst, last, pairing):
-        counts = [len(rep.side1.labels.intersection(block)) for block in blocks]
+    for rep, _, counts in orbits:
         for chosen in itertools.product(*map(itertools.combinations, blocks, counts)):
             labels1 = frozenset(pairing.first).union(*chosen)
             side2 = replace(rep.side2, labels=frozenset(inst.labels) - labels1)

@@ -451,8 +451,11 @@ def multiplicity(map: StableMap, crossratios: Sequence[CrossRatio] = ()) -> Coun
     map.check()
     profiles = _vertex_profiles(map, crossratios)
     product = 1
-    for vertex in map.vertices:
-        product *= cross_ratio_multiplicity(profiles[vertex])
+    for profile in profiles.values():
+        if profile.routes:
+            product *= cross_ratio_multiplicity(profile)
+        else:
+            profile.check_valence()  # a trivalent vertex without cross-ratios counts 1
     matrix = ev_matrix(map)
     if not matrix.is_square:
         raise ValueError(

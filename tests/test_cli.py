@@ -124,6 +124,22 @@ def test_mult_on_map_fixtures(capsys, name, expected):
     assert out == expected + "\n"
 
 
+def test_four_valent_vertex_without_cross_ratios_gets_one_error_line(capsys, tmp_path):
+    point = {"label": 1, "vertex": "v", "direction": [0, 0], "condition": {"kind": "point"}}
+    free = [
+        {"label": label, "vertex": "v", "direction": [0, 0], "condition": {"kind": "free"}}
+        for label in (2, 3, 4)
+    ]
+    star = {"schema": "stablemap/1", "vertices": ["v"], "edges": [], "ends": [point, *free],
+            "base": 1, "crossratios": []}
+    path = tmp_path / "four_valent.json"
+    path.write_text(json.dumps(star))
+    code, out, err = run(capsys, "mult", path)
+    assert code == 1
+    assert out == ""
+    assert err == "error: vertex has 4 slots but 3 + 0 are required\n"
+
+
 def test_dimension_error_goes_to_stderr(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -253,6 +269,15 @@ def test_node_budget_is_enforced(capsys):
     assert code == 1
     assert out == ""
     assert "more than 1 recursion nodes" in err
+
+
+def test_least_node_budget_of_the_worked_example(capsys):
+    # five distinct instances: the root, one inner split node and three sides without cross-ratios
+    example = FIXTURES / "worked_example_23.json"
+    code, out, err = run(capsys, "eval", "--max-nodes", "4", example)
+    assert (code, out) == (1, "")
+    assert err == "error: more than 4 recursion nodes after 1 split terms\n"
+    assert run(capsys, "eval", "--max-nodes", "5", example) == (0, "6\n", "")
 
 
 def test_jobs_do_not_change_the_output(capsys):

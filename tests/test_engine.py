@@ -22,7 +22,15 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
-from crosskont.engine import Engine, base_degree_zero, base_no_crossratios
+from crosskont.conditions import all_pairings, canonical_key, label_rows, rows_key
+from crosskont.engine import (
+    Engine,
+    base_degree_zero,
+    base_from_rows,
+    base_no_crossratios,
+    resolution_choices,
+)
+from crosskont.splits import build_subinstances, orbit_rows, split_orbits
 
 from corpus import CORPUS, SMALL, one_cross_ratio_family
 
@@ -242,6 +250,16 @@ def _golden_eval_multi_shapes():
     return json.loads(path.read_text())["shapes"]
 
 
+def _golden_instance(shape) -> Instance:
+    return Instance.build(
+        shape["degree"],
+        points=shape["points"],
+        lines=[tuple(line) for line in shape["lines"]],
+        free=shape["free"],
+        crossratios=shape["crossratios"],
+    )
+
+
 def _label_level_value(inst):
     # the traced path walks every label-level split with multiplicity one
     return Engine().evaluate_traced(inst)[0]
@@ -263,14 +281,88 @@ def test_orbit_splits_match_label_level_splits_on_the_family(degree, weights):
 
 @pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
-    inst = Instance.build(
-        shape["degree"],
-        points=shape["points"],
-        lines=[tuple(line) for line in shape["lines"]],
-        free=shape["free"],
-        crossratios=shape["crossratios"],
-    )
+    inst = _golden_instance(shape)
     assert Engine().evaluate(inst) == _label_level_value(inst) == shape["count"]
+
+
+def _check_orbit_rows(inst, last, pairing) -> int:
+    """Compare each side's rows with the sub-instance built for it; return the sides seen."""
+    sides = 0
+    for split, _, rows1, rows2 in orbit_rows(inst, last, pairing):
+        pair = build_subinstances(inst, split)
+        for side, rows, sub in ((split.side1, rows1, pair.side1), (split.side2, rows2, pair.side2)):
+            assert rows == label_rows(sub)
+            assert rows_key(side.degree, rows) == canonical_key(sub)
+            if not sub.crossratios:
+                assert base_from_rows(side.degree, rows) == base_no_crossratios(sub)
+            sides += 1
+    return sides
+
+
+def test_side_rows_match_the_built_sub_instances_on_the_corpus():
+    cases = 0
+    for inst in CORPUS:
+        for last in range(len(inst.crossratios)):
+            for pairing in all_pairings(inst.crossratios[last]):
+                _check_orbit_rows(inst, last, pairing)
+                cases += 1
+    assert cases == 183
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_side_rows_match_the_built_sub_instances_on_the_family(degree):
+    inst = one_cross_ratio_family(degree, 2, 3)
+    assert all(_check_orbit_rows(inst, 0, pairing) for pairing in all_pairings(inst.crossratios[0]))
+
+
+def _split_nodes(inst):
+    """Every distinct instance the engine resolves below ``inst``, with its default choice."""
+    nodes = {}
+    stack = [inst]
+    while stack:
+        node = stack.pop()
+        key = canonical_key(node)
+        if key in nodes or not node.crossratios or node.degree == 0:
+            continue
+        choice = nodes[key] = (node, next(resolution_choices(node), None))
+        if choice[1] is not None:
+            last, pairing, _ = choice[1]
+            for split, _ in split_orbits(node, last, pairing):
+                pair = build_subinstances(node, split)
+                stack += [pair.side1, pair.side2]
+    return nodes.values()
+
+
+@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
+    for node, choice in _split_nodes(_golden_instance(shape)):
+        if choice is not None:
+            last, pairing, _ = choice
+            _check_orbit_rows(node, last, pairing)
+
+
+# Engine()._nodes after evaluate, as recorded before sides were keyed from their rows.
+GOLDEN_NODES = {
+    "eval-multi-1": 43, "eval-multi-36": 46, "eval-multi-14": 38, "eval-multi-12": 44,
+    "eval-multi-19": 60, "eval-multi-43": 62, "eval-multi-37": 74, "eval-multi-72": 30,
+    "eval-multi-40": 119, "eval-multi-5": 50, "eval-multi-67": 73, "eval-multi-4": 112,
+    "eval-multi-48": 105, "eval-multi-92": 303, "eval-multi-110": 49, "eval-multi-2": 79,
+}
+
+
+@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_node_count_is_pinned_on_the_golden_shapes(shape):
+    engine = Engine()
+    engine.evaluate(_golden_instance(shape))
+    assert engine._nodes == GOLDEN_NODES[shape["id"]]
+
+
+@pytest.mark.parametrize("degree, nodes", [(2, 7), (3, 13), (4, 19), (5, 25)])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
+def test_node_count_is_pinned_on_the_family(degree, nodes, weights):
+    engine = Engine()
+    engine.evaluate(one_cross_ratio_family(degree, *weights))
+    assert engine._nodes == nodes
 
 
 @given(data=st.data())

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosskont import CrossRatio
+from crosskont import CrossRatio, stablemap
 from crosskont.conditions import all_pairings
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED
 from crosskont.stablemap import (
@@ -385,6 +385,20 @@ def test_multiplicity_requires_satisfied_cross_ratios():
     plane_map, _ = load_map("split_2_0.json")
     with pytest.raises(ValueError, match="no satisfying vertex"):
         multiplicity(plane_map, [CrossRatio.of(1, 2, 5, 6)])
+
+
+@pytest.mark.parametrize("name", ["c2_01.json", "split_2_0.json", "split_1_1.json"])
+def test_only_vertices_with_cross_ratios_are_resolved(monkeypatch, name):
+    plane_map, crossratios = load_map(name)
+    expected = multiplicity(plane_map, crossratios)
+    resolved = []
+    count = stablemap.cross_ratio_multiplicity
+    spy = lambda profile: resolved.append(profile) or count(profile)
+    monkeypatch.setattr(stablemap, "cross_ratio_multiplicity", spy)
+    assert multiplicity(plane_map, crossratios) == expected
+    satisfying = {find_satisfying_vertex(plane_map, cr) for cr in crossratios}
+    assert 0 < len(resolved) == len(satisfying) < len(plane_map.vertices)
+    assert all(profile.routes for profile in resolved)
 
 
 def test_split_check_on_the_fixed_side_cut():
