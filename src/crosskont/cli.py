@@ -72,10 +72,11 @@ def profile_from_dict(data: Mapping) -> VertexProfile:
     if data.get("schema") != "profile/1":
         raise ValueError(f"expected schema profile/1, got {data.get('schema')!r}")
     try:
-        return VertexProfile.of(
-            json_checked(data["slots"], "slots", 0),
-            json_checked(data.get("crossratios", []), "crossratios", 0, 0),
-        )
+        slots = json_checked(data["slots"], "slots", 0)
+        if len(set(slots)) < len(slots):
+            raise ValueError(f"slots: expected distinct slots, got {json.dumps(slots)}")
+        crossratios = json_checked(data.get("crossratios", []), "crossratios", 0, 0)
+        return VertexProfile.of(slots, crossratios)
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in profile file") from None
 

@@ -126,19 +126,16 @@ class Pairing:
 
 
 def all_pairings(cr: CrossRatio) -> tuple[Pairing, Pairing, Pairing]:
-    """The three pairings of a cross-ratio, smallest entry always first."""
+    """The three pairings of a cross-ratio, smallest entry always first.
+
+    The first groups the two smallest entries and serves as the default.
+    """
     a, b, c, d = cr.ordered
     return (
         Pairing.of((a, b), (c, d)),
         Pairing.of((a, c), (b, d)),
         Pairing.of((a, d), (b, c)),
     )
-
-
-def canonical_pairing(cr: CrossRatio) -> Pairing:
-    """Pairing grouping the two smallest entries, used as a default."""
-    a, b, c, d = cr.ordered
-    return Pairing.of((a, b), (c, d))
 
 
 @dataclass(frozen=True, slots=True)

@@ -239,10 +239,9 @@ class Engine:
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
     of the same sub-instance are computed once.  A split node resolves
     the first of :func:`resolution_choices` and sums over its split
-    orbits, or over every label-level split when traced.  Untraced, a
-    side is keyed by :func:`rows_key` of its row counts, the same key as
-    the built side's; a side without cross-ratios is valued in place,
-    any other is built only on a memo miss.
+    orbits.  A side is keyed by :func:`rows_key` of its row counts, the
+    same key as the built side's; a side without cross-ratios is valued
+    in place, any other is built only on a memo miss.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -259,26 +258,23 @@ class Engine:
         ``choice``, one of :func:`resolution_choices`, overrides the
         resolution at the root, whose value then bypasses the memo.
         """
-        _check(inst)
-        value, _ = self._eval(inst, False, choice)
-        return value
+        _check(inst)  # sub-instances of a valid instance are valid by construction
+        return self._eval(inst, choice)
 
     def evaluate_traced(self, inst: Instance) -> tuple[Count, TraceNode]:
-        _check(inst)
-        value, node = self._eval(inst, True)
-        assert node is not None
-        return value, node
+        """Count ``inst`` and return its recursion tree over label-level splits.
 
-    def _eval(
-        self, inst: Instance, trace: bool, choice: Choice | None = None
-    ) -> tuple[Count, Optional[TraceNode]]:
-        # Sub-instances of a valid instance are valid by construction.
+        Classes the memo held before the call show as memo hits; any
+        other class is expanded where the walk first meets it.
+        """
+        seen = set(self._memo)
+        return self.evaluate(inst), self._trace(inst, seen)
+
+    def _eval(self, inst: Instance, choice: Choice | None = None) -> Count:
         key = canonical_key(inst) if choice is None else None
         if key is not None and key in self._memo:
-            value = self._memo[key]
-            node = TraceNode(inst, "memo", value) if trace else None
-            return value, node
-        return self._node(inst, key, trace, choice)
+            return self._memo[key]
+        return self._node(inst, key, choice)
 
     def _count_node(self) -> None:
         self._nodes += 1
@@ -287,50 +283,48 @@ class Engine:
                 f"more than {self.max_nodes} recursion nodes after {self._terms} split terms"
             )
 
-    def _node(
-        self, inst: Instance, key: bytes | None, trace: bool, choice: Choice | None = None
-    ) -> tuple[Count, Optional[TraceNode]]:
+    def _node(self, inst: Instance, key: bytes | None, choice: Choice | None = None) -> Count:
         """Evaluate an instance the memo lacks and store it under ``key``."""
         self._count_node()
-        node: Optional[TraceNode] = None
         if not inst.crossratios:
             value = base_no_crossratios(inst)
-            rule = "base"
         elif inst.degree == 0:
             value = base_degree_zero(inst)
-            rule = "star"
         else:
             if choice is None:
                 choice = next(resolution_choices(inst), None)
-            if choice is None:
-                value, rule = 0, "no line pair"
-            elif trace:
-                value, node = self._traced_split(inst, choice)
-                rule = "split"
-            else:
-                value, rule = self._orbit_sum(inst, choice), "split"
+            value = 0 if choice is None else self._orbit_sum(inst, choice)
         if key is not None:
             self._memo[key] = value
-        if trace and rule != "split":
-            node = TraceNode(inst, rule, value)
-        return value, node
+        return value
 
-    def _traced_split(self, inst: Instance, choice: Choice) -> tuple[Count, TraceNode]:
+    def _trace(self, inst: Instance, seen: set[bytes]) -> TraceNode:
+        """Trace tree of an evaluated instance, its values read from the memo.
+
+        A labelling can resolve differently from the class's evaluated
+        representative and so reach a class the memo lacks; that class
+        is evaluated here.
+        """
+        key = canonical_key(inst)
+        value = self._memo[key] if key in self._memo else self._node(inst, key)
+        if key in seen:
+            return TraceNode(inst, "memo", value)
+        seen.add(key)
+        if not inst.crossratios:
+            return TraceNode(inst, "base", value)
+        if inst.degree == 0:
+            return TraceNode(inst, "star", value)
+        choice = next(resolution_choices(inst), None)
+        if choice is None:
+            return TraceNode(inst, "no line pair", value)
         last, pairing, line_pair = choice
-        splits = enumerate_splits(inst, last, pairing)
-        if line_pair is not None:
-            splits = [split for split in splits if _isolates(inst, split, line_pair)]
-        value = 0
         terms = []
-        for split in splits:
-            pair = build_subinstances(inst, split)
-            v1, n1 = self._eval(pair.side1, True)
-            v2, n2 = self._eval(pair.side2, True)
-            assert n1 is not None and n2 is not None
-            value += v1 * v2
-            self._terms += 1
-            terms.append(TraceTerm(split, n1, n2))
-        return value, TraceNode(inst, "split", value, last, pairing, tuple(terms))
+        for split in enumerate_splits(inst, last, pairing):
+            if line_pair is None or _isolates(inst, split, line_pair):
+                pair = build_subinstances(inst, split)
+                left = self._trace(pair.side1, seen)
+                terms.append(TraceTerm(split, left, self._trace(pair.side2, seen)))
+        return TraceNode(inst, "split", value, last, pairing, tuple(terms))
 
     def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
         last, pairing, line_pair = choice
@@ -353,7 +347,7 @@ class Engine:
             value = self._memo[key] = base_from_rows(side.degree, rows)
             return value
         pair = build_subinstances(inst, split)
-        return self._node(pair.side1 if side is split.side1 else pair.side2, key, False)[0]
+        return self._node(pair.side1 if side is split.side1 else pair.side2, key)
 
 
 def _check(inst: Instance) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .conditions import Label, Pairing, canonical_pairing, CrossRatio
+from .conditions import Label, Pairing, CrossRatio, all_pairings
 from .splits import placements
 
 SlotId = int
@@ -197,7 +197,7 @@ def total_resolutions(
     chosen = dict(pairings) if pairings else {}
     for cr, table in profile.routes.items():
         if cr not in chosen:
-            chosen[cr] = canonical_pairing(CrossRatio(frozenset(table)))
+            chosen[cr] = all_pairings(CrossRatio(frozenset(table)))[0]
     resolution_order = tuple(order) if order is not None else tuple(profile.routes)
     anchor = min(profile.slots)
     leaves_of = {slot: frozenset({slot}) for slot in profile.slots}

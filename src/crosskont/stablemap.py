@@ -53,7 +53,7 @@ from .conditions import (
     CrossRatio,
     Label,
     Pairing,
-    canonical_pairing,
+    all_pairings,
     deficiency,
     json_checked,
 )
@@ -289,7 +289,7 @@ def find_satisfying_vertex(
     pairing (two smallest entries grouped) decides it.
     """
     if pairing is None:
-        pairing = canonical_pairing(cr)
+        pairing = all_pairings(cr)[0]
     vertex_of = {}
     for label in cr:
         vertex_of[label] = map.end(label).vertex

@@ -373,6 +373,13 @@ def test_string_slots_are_rejected(capsys, tmp_path):
     _rejected(capsys, tmp_path, "multcr", document, message)
 
 
+def test_repeated_slot_is_rejected(capsys, tmp_path):
+    # four listed slots, not the three distinct ones the valence 3 + 0 allows
+    document = {"schema": "profile/1", "slots": [1, 1, 2, 3]}
+    message = "slots: expected distinct slots, got [1, 1, 2, 3]"
+    _rejected(capsys, tmp_path, "multcr", document, message)
+
+
 @pytest.mark.parametrize(
     "crossratio, slots",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -22,6 +23,7 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
+from crosskont.cli import render_trace
 from crosskont.conditions import all_pairings, canonical_key, label_rows, rows_key
 from crosskont.engine import (
     Engine,
@@ -260,29 +262,55 @@ def _golden_instance(shape) -> Instance:
     )
 
 
-def _label_level_value(inst):
-    # the traced path walks every label-level split with multiplicity one
-    return Engine().evaluate_traced(inst)[0]
+def test_trace_text_is_pinned_past_the_corpus():
+    # One SHA-256 over the rendered traces of the family at d = 3, 4, 5 and
+    # the golden shapes, recorded when the trace came from a label-level
+    # evaluation of its own. A change that alters the text updates this pin.
+    sha = hashlib.sha256()
+    instances = [one_cross_ratio_family(d, 2, 3) for d in (3, 4, 5)]
+    instances += [_golden_instance(shape) for shape in _golden_eval_multi_shapes()]
+    for inst in instances:
+        _, node = Engine().evaluate_traced(inst)
+        sha.update("\n".join(render_trace(node)).encode() + b"\n")
+    assert sha.hexdigest() == "6f480068edba482bc423154ea0e7645c83d07b58e5bb5cbdcf41ea85cdaf2fa5"
+
+
+def _check_trace(inst) -> int:
+    """Check the trace against the orbit evaluation; return the expanded split nodes.
+
+    At every expanded split node, the label-level terms (each split with
+    multiplicity one) must sum to the node's value, which comes from the
+    orbit evaluation's memo.
+    """
+    value, root = Engine().evaluate_traced(inst)
+    assert value == root.value == Engine().evaluate(inst)
+    nodes, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        if node.rule == "split":
+            assert sum(term.term for term in node.terms) == node.value
+            nodes += 1
+            stack += [child for term in node.terms for child in (term.left, term.right)]
+    return nodes
 
 
 def test_orbit_splits_match_label_level_splits_on_the_corpus():
     checked = [inst for inst in CORPUS if inst.crossratios]
-    for inst in checked:
-        assert Engine().evaluate(inst) == _label_level_value(inst)
-    assert len(checked) > 30
+    assert sum(_check_trace(inst) for inst in checked) > len(checked) > 30
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
 @pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
 def test_orbit_splits_match_label_level_splits_on_the_family(degree, weights):
-    inst = one_cross_ratio_family(degree, *weights)
-    assert Engine().evaluate(inst) == _label_level_value(inst)
+    # one cross-ratio: only the root splits, over every label-level split
+    assert _check_trace(one_cross_ratio_family(degree, *weights)) == 1
 
 
 @pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
     inst = _golden_instance(shape)
-    assert Engine().evaluate(inst) == _label_level_value(inst) == shape["count"]
+    assert _check_trace(inst) > 0
+    assert evaluate(inst) == shape["count"]
 
 
 def _check_orbit_rows(inst, last, pairing) -> int:

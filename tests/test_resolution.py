@@ -17,7 +17,7 @@ from crosskont import (
     total_resolutions,
     resolve_once,
 )
-from crosskont.conditions import all_pairings, canonical_pairing
+from crosskont.conditions import all_pairings
 
 FIVE = ([1, 2, 3, 4, 5], [[1, 2, 3, 4], [1, 2, 3, 5]])
 SIX = ([1, 2, 3, 4, 5, 6], [[1, 2, 5, 6], [3, 4, 5, 6], [1, 2, 3, 4]])
@@ -84,7 +84,7 @@ def separates(split: frozenset, pairing: Pairing, slots) -> bool:
 
 def admits_matching(splits, crossratios, slots) -> bool:
     splits = list(splits)
-    pairings = [canonical_pairing(CrossRatio.of(*cr)) for cr in crossratios]
+    pairings = [all_pairings(CrossRatio.of(*cr))[0] for cr in crossratios]
     return any(
         all(separates(splits[j], pairings[i], slots) for i, j in enumerate(assign))
         for assign in itertools.permutations(range(len(splits)), len(pairings))
@@ -93,7 +93,7 @@ def admits_matching(splits, crossratios, slots) -> bool:
 
 def test_resolve_once_five_slots_has_a_unique_split():
     prof = profile(*FIVE)
-    children = resolve_once(prof, 0, canonical_pairing(CrossRatio.of(1, 2, 3, 4)))
+    children = resolve_once(prof, 0, all_pairings(CrossRatio.of(1, 2, 3, 4))[0])
     assert len(children) == 1
     left, right = children[0]
     sides = {frozenset(left.slots), frozenset(right.slots)}
@@ -117,7 +117,7 @@ def test_resolve_once_brute_matches_partition_count():
     # four ways to place slots 3 and 4, exactly two leave every other
     # cross-ratio with at least three entries on one side
     prof = profile(*SIX)
-    children = resolve_once(prof, 0, canonical_pairing(CrossRatio.of(1, 2, 5, 6)))
+    children = resolve_once(prof, 0, all_pairings(CrossRatio.of(1, 2, 5, 6))[0])
     assert len(children) == 2
 
 
@@ -167,7 +167,7 @@ def test_resolved_trees_separate_every_pairing():
         for tree in total_resolutions(prof):
             for i, cr in enumerate(crs):
                 split = tree.split_for(i)
-                assert separates(split, canonical_pairing(CrossRatio.of(*cr)), slots)
+                assert separates(split, all_pairings(CrossRatio.of(*cr))[0], slots)
 
 
 def test_resolved_trees_are_trivalent_trees():
@@ -248,4 +248,4 @@ def test_every_tree_separates_its_pairings(prof_data):
     slots, crs = prof_data
     for tree in total_resolutions(profile(slots, crs)):
         for i, cr in enumerate(crs):
-            assert separates(tree.split_for(i), canonical_pairing(CrossRatio.of(*cr)), slots)
+            assert separates(tree.split_for(i), all_pairings(CrossRatio.of(*cr))[0], slots)

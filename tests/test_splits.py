@@ -19,7 +19,7 @@ from crosskont import (
     split_orbits,
     validate,
 )
-from crosskont.conditions import all_pairings, canonical_pairing
+from crosskont.conditions import all_pairings
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED, Split, SplitSide
 
 from corpus import CORPUS, SMALL, one_cross_ratio_family
@@ -75,13 +75,13 @@ def _assign(inst, last, side1):
 
 
 def test_respecting_pairing_groups_the_two_smallest_entries():
-    assert canonical_pairing(CrossRatio.of(1, 2, 3, 5)) == Pairing.of((1, 2), (3, 5))
-    assert canonical_pairing(CrossRatio.of(6, 4, 2, 1)) == Pairing.of((1, 2), (4, 6))
-    assert canonical_pairing(CrossRatio.of(9, 7, 3, 1)) == Pairing.of((1, 3), (7, 9))
+    assert all_pairings(CrossRatio.of(1, 2, 3, 5))[0] == Pairing.of((1, 2), (3, 5))
+    assert all_pairings(CrossRatio.of(6, 4, 2, 1))[0] == Pairing.of((1, 2), (4, 6))
+    assert all_pairings(CrossRatio.of(9, 7, 3, 1))[0] == Pairing.of((1, 3), (7, 9))
 
 
 def test_worked_example_first_resolution():
-    splits = enumerate_splits(WORKED, 1, canonical_pairing(WORKED.crossratios[1]))
+    splits = enumerate_splits(WORKED, 1, all_pairings(WORKED.crossratios[1])[0])
     assert len(splits) == 1
     split = splits[0]
     assert split.kind == TWO_ZERO_SIDE1_FIXED
@@ -100,7 +100,7 @@ def test_worked_example_first_resolution():
 
 def test_worked_example_second_resolution():
     inner = Instance.build(1, points=[1, 2], lines={4: 1}, free=[6], crossratios=[[1, 2, 4, 6]])
-    splits = enumerate_splits(inner, 0, canonical_pairing(inner.crossratios[0]))
+    splits = enumerate_splits(inner, 0, all_pairings(inner.crossratios[0])[0])
     assert len(splits) == 1
     split = splits[0]
     assert split.kind == ONE_ONE
@@ -128,7 +128,7 @@ def test_pairing_must_match_the_resolved_cross_ratio():
 
 
 def test_fresh_labels_sit_above_the_instance():
-    splits = enumerate_splits(WORKED, 1, canonical_pairing(WORKED.crossratios[1]))
+    splits = enumerate_splits(WORKED, 1, all_pairings(WORKED.crossratios[1])[0])
     pair = build_subinstances(WORKED, splits[0])
     top = max(WORKED.labels)
     assert pair.e1 == top + 1
@@ -201,7 +201,7 @@ def test_split_orbits_group_the_label_level_splits():
 def test_sub_instances_are_well_posed():
     for inst in SMALL:
         for last in range(len(inst.crossratios)):
-            pairing = canonical_pairing(inst.crossratios[last])
+            pairing = all_pairings(inst.crossratios[last])[0]
             for split in enumerate_splits(inst, last, pairing):
                 pair = build_subinstances(inst, split)
                 assert validate(pair.side1)
@@ -212,7 +212,7 @@ def test_fresh_end_conditions_follow_the_split_kind():
     seen = set()
     for inst in SMALL:
         for last in range(len(inst.crossratios)):
-            pairing = canonical_pairing(inst.crossratios[last])
+            pairing = all_pairings(inst.crossratios[last])[0]
             for split in enumerate_splits(inst, last, pairing):
                 pair = build_subinstances(inst, split)
                 kinds = (pair.side1.condition(pair.e1).kind, pair.side2.condition(pair.e2).kind)
@@ -238,7 +238,7 @@ def test_adapted_cross_ratios_swap_far_entries_for_the_fresh_end():
     )
     assert validate(inst)
     for last in range(3):
-        pairing = canonical_pairing(inst.crossratios[last])
+        pairing = all_pairings(inst.crossratios[last])[0]
         for split in enumerate_splits(inst, last, pairing):
             pair = build_subinstances(inst, split)
             for side, sub, fresh in ((split.side1, pair.side1, pair.e1), (split.side2, pair.side2, pair.e2)):
