@@ -30,17 +30,15 @@ import json
 import sys
 from typing import Mapping, Sequence
 
-from .conditions import Instance, LINE, POINT, json_checked
+from .conditions import Instance, json_checked
 from .engine import (
     DEFAULT_MAX_NODES,
     Engine,
     ResourceLimitError,
-    TraceNode,
     evaluate_invariance_battery,
     kontsevich,
 )
 from .resolution import VertexProfile, cross_ratio_multiplicity
-from .splits import Split
 from .stablemap import multiplicity, stablemap_from_dict
 
 
@@ -94,51 +92,13 @@ def _load(path: str) -> Mapping:
     return data
 
 
-def _describe(inst: Instance, head: str, labels, crossratios) -> str:
-    marks = {POINT: "p", LINE: "L"}
-    parts = [head, *(f"{marks.get(inst.condition(x).kind, 'f')}{x}" for x in sorted(labels))]
-    parts.extend("cr{%s}" % ",".join(map(str, cr)) for cr in crossratios)
-    return " ".join(parts)
-
-
-def _describe_split(inst: Instance, split: Split) -> str:
-    def side(share) -> str:
-        crossratios = [inst.crossratios[j] for j in sorted(share.crossratios)]
-        return _describe(inst, f"d={share.degree}:", share.labels, crossratios)
-
-    return f"split [{split.kind}] ({side(split.side1)} | {side(split.side2)})"
-
-
-def render_trace(node: TraceNode) -> list[str]:
-    """Indented recursion tree, one evaluated instance per block."""
-    inst = node.instance
-    lines = [_describe(inst, f"d={inst.degree}", inst.labels, inst.crossratios)]
-    if node.rule == "split" and node.pairing is not None:
-        a, b = node.pairing.first
-        c, d = node.pairing.second
-        lines.append(f"  resolve cr ({a} {b} | {c} {d})")
-        for term in node.terms:
-            lines.append("  " + _describe_split(inst, term.split))
-            for child, name in ((term.left, "side 1"), (term.right, "side 2")):
-                sub = render_trace(child)
-                lines.append(f"    {name}: {sub[0]}")
-                lines.extend("    " + line for line in sub[1:])
-            lines.append(f"  term {term.left.value} * {term.right.value} = {term.term}")
-        lines.append(f"  = {node.value}")
-    else:
-        lines.append(f"  = {node.value} ({node.rule})")
-    return lines
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     inst = instance_from_dict(_load(args.path))
     engine = Engine(max_nodes=args.max_nodes)
     if args.trace:
-        value, node = engine.evaluate_traced(inst)
-        for line in render_trace(node):
+        for line in engine.trace(inst):
             print(line)
-    else:
-        value = engine.evaluate(inst)
+    value = engine.evaluate(inst)
     if args.check:
         report = evaluate_invariance_battery(inst, max_nodes=args.max_nodes)
         if not report.ok:

@@ -6,10 +6,9 @@ a sum, over all contributing splits, of products of the two sides'
 counts.  With at least one point condition any cross-ratio and any of
 its three pairings may be resolved; without points the resolved
 cross-ratio must contain an admissible pair of multi line entries,
-which then sits alone on a degree-zero side (see
-:func:`admissible_line_pair`).  All sound choices leave the value
-unchanged, which :func:`evaluate_invariance_battery` exercises
-explicitly.
+isolated on a degree-zero side (see :func:`admissible_line_pair`).
+:func:`resolution_choices` lists which choices are checked to agree and
+one that still disagrees.
 
 Recursion anchors: instances without cross-ratios reduce to the plane
 Kontsevich numbers via line factors, and degree-zero instances reduce
@@ -22,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Generator, Iterator, Mapping, Optional, Sequence
 
 from .conditions import (
     FREE,
@@ -41,10 +40,10 @@ from .conditions import (
 )
 from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import (
+    ONE_ONE,
     Split,
     SplitSide,
     TWO_ZERO_SIDE1_FIXED,
-    TWO_ZERO_SIDE2_FIXED,
     build_subinstances,
     enumerate_splits,
     orbit_rows,
@@ -52,8 +51,8 @@ from .splits import (
 
 DEFAULT_MAX_NODES = 1_000_000
 
-# (resolved cross-ratio index, pairing, line pair isolated on a degree-zero side or None)
-Choice = tuple[int, Pairing, Optional[tuple[int, int]]]
+# (resolved cross-ratio index, pairing, line pairs to isolate on a degree-zero side or None)
+Choice = tuple[int, Pairing, Optional[tuple[tuple[int, int], ...]]]
 
 
 class ValidationError(ValueError):
@@ -180,8 +179,18 @@ def resolution_choices(inst: Instance) -> Iterator[Choice]:
 
     With point conditions: every cross-ratio, from the last one down,
     under each of its three pairings.  Without points: every cross-ratio,
-    from the last one down, grouped along each admissible pair of its
-    multi line entries, which then sits alone on a degree-zero side.
+    from the last one down, under each pairing with an admissible pair of
+    multi line entries, with every such pair of it: a split counts when it
+    isolates either on a degree-zero side, as a line meets a degenerate
+    (12|34) where it passes through L1 ∩ L2 or through L3 ∩ L4.
+
+    Checked to agree: at the root by :func:`evaluate_invariance_battery`
+    on the test corpus and on degree 1 with lines and two cross-ratios
+    (4 - |cr1 ∩ cr2| curves, as classically); at every node, in reverse
+    order, on the golden eval-multi shapes and a d = 7 instance with six
+    cross-ratios.  Still disagreeing (``eval --check`` exits 1): d = 1,
+    lines 1..5, free 6, [[1,2,3,4],[1,2,3,5],[1,4,5,6]] counts 0 by
+    default and 1 under every other choice.
     """
     for last in range(len(inst.crossratios) - 1, -1, -1):
         cr = inst.crossratios[last]
@@ -189,48 +198,18 @@ def resolution_choices(inst: Instance) -> Iterator[Choice]:
             for pairing in all_pairings(cr):
                 yield last, pairing, None
             continue
-        lines = [x for x in cr if inst.condition(x).kind == LINE]
-        for a, b in itertools.combinations(lines, 2):
-            if admissible_line_pair(inst, last, a, b):
-                yield last, Pairing.of((a, b), cr.entries - {a, b}), (a, b)
+        line_pairs = itertools.combinations([x for x in cr if inst.condition(x).kind == LINE], 2)
+        pairs = [p for p in line_pairs if admissible_line_pair(inst, last, *p)]
+        for pairing in dict.fromkeys(Pairing.of(p, cr.entries - set(p)) for p in pairs):
+            yield last, pairing, tuple(p for p in (pairing.first, pairing.second) if p in pairs)
 
 
-def _isolates(inst: Instance, split: Split, line_pair: tuple[int, int]) -> bool:
-    """Whether the split puts the line pair alone on a fixed degree-zero side."""
-    a, b = line_pair
-    side = split.side1 if a in split.side1.labels else split.side2
-    fixed = TWO_ZERO_SIDE1_FIXED if side is split.side1 else TWO_ZERO_SIDE2_FIXED
-    side_lines = {x for x in side.labels if inst.condition(x).kind == LINE}
-    return split.kind == fixed and side.degree == 0 and side_lines == {a, b}
-
-
-@dataclass(frozen=True)
-class TraceTerm:
-    """One split's contribution to a recursion node."""
-
-    split: Split
-    left: "TraceNode"
-    right: "TraceNode"
-
-    @property
-    def term(self) -> Count:
-        return self.left.value * self.right.value
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    """One evaluated instance in the recursion tree.
-
-    For split rules ``value`` equals the sum of the terms; memo hits
-    and base cases carry no terms.
-    """
-
-    instance: Instance
-    rule: str
-    value: Count
-    last: int | None = None
-    pairing: Pairing | None = None
-    terms: tuple[TraceTerm, ...] = ()
+def _isolates(inst: Instance, split: Split, line_pairs: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the split puts one of the line pairs alone on a fixed degree-zero side."""
+    side = split.side1 if split.kind == TWO_ZERO_SIDE1_FIXED else split.side2
+    if split.kind == ONE_ONE or side.degree:
+        return False
+    return tuple(x for x in sorted(side.labels) if inst.condition(x).kind == LINE) in line_pairs
 
 
 class Engine:
@@ -261,14 +240,15 @@ class Engine:
         _check(inst)  # sub-instances of a valid instance are valid by construction
         return self._eval(inst, choice)
 
-    def evaluate_traced(self, inst: Instance) -> tuple[Count, TraceNode]:
-        """Count ``inst`` and return its recursion tree over label-level splits.
+    def trace(self, inst: Instance) -> Iterator[str]:
+        """Count ``inst``, then yield its trace over label-level splits line by line.
 
-        Classes the memo held before the call show as memo hits; any
-        other class is expanded where the walk first meets it.
+        Values come from the memo.  Classes it held before the call show as
+        memo hits; any other class is expanded where the walk first meets it.
         """
         seen = set(self._memo)
-        return self.evaluate(inst), self._trace(inst, seen)
+        self.evaluate(inst)
+        yield from self._walk(inst, seen, "", "")
 
     def _eval(self, inst: Instance, choice: Choice | None = None) -> Count:
         key = canonical_key(inst) if choice is None else None
@@ -298,39 +278,47 @@ class Engine:
             self._memo[key] = value
         return value
 
-    def _trace(self, inst: Instance, seen: set[bytes]) -> TraceNode:
-        """Trace tree of an evaluated instance, its values read from the memo.
+    def _walk(
+        self, inst: Instance, seen: set[bytes], head: str, pad: str
+    ) -> Generator[str, None, Count]:
+        """Yield one instance's trace lines, the first after ``head``, and return its value.
 
         A labelling can resolve differently from the class's evaluated
         representative and so reach a class the memo lacks; that class
         is evaluated here.
         """
+        yield head + _describe(inst, f"d={inst.degree}", inst.labels, range(len(inst.crossratios)))
         key = canonical_key(inst)
         value = self._memo[key] if key in self._memo else self._node(inst, key)
-        if key in seen:
-            return TraceNode(inst, "memo", value)
+        rules = (("memo", key in seen), ("base", not inst.crossratios), ("star", inst.degree == 0))
+        rule = next((name for name, hit in rules if hit), None)
+        choice = None if rule else next(resolution_choices(inst), None)
         seen.add(key)
-        if not inst.crossratios:
-            return TraceNode(inst, "base", value)
-        if inst.degree == 0:
-            return TraceNode(inst, "star", value)
-        choice = next(resolution_choices(inst), None)
         if choice is None:
-            return TraceNode(inst, "no line pair", value)
-        last, pairing, line_pair = choice
-        terms = []
+            yield f"{pad}  = {value} ({rule or 'no line pair'})"
+            return value
+        last, pairing, line_pairs = choice
+        (a, b), (c, d) = pairing.first, pairing.second
+        yield f"{pad}  resolve cr ({a} {b} | {c} {d})"
         for split in enumerate_splits(inst, last, pairing):
-            if line_pair is None or _isolates(inst, split, line_pair):
+            if line_pairs is None or _isolates(inst, split, line_pairs):
+                s1, s2 = (
+                    _describe(inst, f"d={side.degree}:", side.labels, side.crossratios)
+                    for side in (split.side1, split.side2)
+                )
+                yield f"{pad}  split [{split.kind}] ({s1} | {s2})"
                 pair = build_subinstances(inst, split)
-                left = self._trace(pair.side1, seen)
-                terms.append(TraceTerm(split, left, self._trace(pair.side2, seen)))
-        return TraceNode(inst, "split", value, last, pairing, tuple(terms))
+                left = yield from self._walk(pair.side1, seen, f"{pad}    side 1: ", pad + "    ")
+                right = yield from self._walk(pair.side2, seen, f"{pad}    side 2: ", pad + "    ")
+                yield f"{pad}  term {left} * {right} = {left * right}"
+        yield f"{pad}  = {value}"
+        return value
 
     def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
-        last, pairing, line_pair = choice
+        last, pairing, line_pairs = choice
         value = 0
         for split, m, rows1, rows2 in orbit_rows(inst, last, pairing):
-            if line_pair is None or _isolates(inst, split, line_pair):
+            if line_pairs is None or _isolates(inst, split, line_pairs):
                 v1 = self._side(inst, split, split.side1, rows1)
                 v2 = self._side(inst, split, split.side2, rows2)
                 value += m * v1 * v2
@@ -354,6 +342,14 @@ def _check(inst: Instance) -> None:
     check = validate(inst)
     if not check:
         raise ValidationError(check.reason)
+
+
+def _describe(inst: Instance, head: str, labels, crossratios) -> str:
+    """One trace line's text: ``head``, the marked labels and the cross-ratios by index."""
+    marks = {POINT: "p", LINE: "L"}
+    parts = [head, *(f"{marks.get(inst.condition(x).kind, 'f')}{x}" for x in sorted(labels))]
+    parts.extend("cr{%s}" % ",".join(map(str, inst.crossratios[j])) for j in sorted(crossratios))
+    return " ".join(parts)
 
 
 def evaluate(inst: Instance, *, max_nodes: int = DEFAULT_MAX_NODES) -> Count:

@@ -90,6 +90,42 @@ def test_check_reports_invariance(capsys):
     assert out.splitlines() == ["invariance ok over 6 variants", "1"]
 
 
+def test_check_passes_on_six_lines_with_two_cross_ratios(capsys, tmp_path):
+    # both pairs of a resolved pairing may sit alone on a degree-zero side
+    path = tmp_path / "six_lines.json"
+    lines = [{"label": x, "weight": 1} for x in range(1, 7)]
+    document = _instance_document(points=[], lines=lines, crossratios=[[1, 2, 3, 4], [1, 2, 5, 6]])
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "eval", "--check", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["invariance ok over 6 variants", "2"]
+
+
+def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
+    # eval-multi-92 needs 303 recursion nodes to evaluate and 305 to trace
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
+    shape = next(s for s in json.loads(golden.read_text())["shapes"] if s["id"] == "eval-multi-92")
+    document = _instance_document(
+        degree=shape["degree"],
+        points=shape["points"],
+        lines=[{"label": label, "weight": weight} for label, weight in shape["lines"]],
+        free=shape["free"],
+        crossratios=shape["crossratios"],
+    )
+    path = tmp_path / "eval_multi_92.json"
+    path.write_text(json.dumps(document))
+    code, full, err = run(capsys, "eval", "--trace", path)
+    assert (code, err, full.splitlines()[-1]) == (0, "", str(shape["count"]))
+    trace = full[: full.rindex("\n", 0, -1) + 1]
+    assert run(capsys, "eval", "--trace", "--max-nodes", "305", path) == (0, full, "")
+    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "304", path)
+    assert code == 1
+    assert err.startswith("error: more than 304 recursion nodes ")
+    assert err.count("\n") == 1
+    assert 0 < len(out) < len(trace)
+    assert trace.startswith(out)
+
+
 def test_kontsevich_table(capsys):
     code, out, err = run(capsys, "kontsevich", "5")
     assert code == 0

@@ -23,7 +23,6 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
-from crosskont.cli import render_trace
 from crosskont.conditions import all_pairings, canonical_key, label_rows, rows_key
 from crosskont.engine import (
     Engine,
@@ -174,6 +173,26 @@ def test_admissible_line_pair_blocks_tied_groupings():
         assert admissible_line_pair(inst, 1, a, b)
 
 
+@pytest.mark.parametrize(
+    "crossratios, count",
+    [
+        ([[1, 2, 3, 4], [5, 6, 7, 8]], 4),
+        ([[1, 2, 3, 4], [1, 5, 6, 7]], 3),
+        ([[1, 2, 3, 4], [1, 2, 5, 6]], 2),
+        ([[1, 2, 3, 4], [1, 2, 3, 5]], 1),
+    ],
+)
+def test_lines_with_two_cross_ratios_count_as_classically(crossratios, count):
+    # The lines meeting four fixed lines in a fixed cross-ratio are the
+    # tangents of a conic inscribed in them (dually, a conic through the four
+    # dual points). Two such conics share 4 tangents, among them the spurious
+    # L_i for each shared entry i, so 4 - |cr1 & cr2| lines are counted.
+    labels = sorted({x for cr in crossratios for x in cr})
+    inst = Instance.build(1, lines={x: 1 for x in labels}, crossratios=crossratios)
+    assert evaluate(inst) == count
+    assert evaluate_invariance_battery(inst).ok
+
+
 def test_resource_budget_is_enforced():
     with pytest.raises(ResourceLimitError):
         evaluate(WORKED, max_nodes=1)
@@ -194,26 +213,25 @@ def test_memoized_reevaluation_is_stable():
 
 
 def test_trace_shows_both_resolution_steps():
-    value, node = Engine().evaluate_traced(WORKED23)
-    assert value == 6
-    assert node.rule == "split"
-    assert node.last == 1
-    assert len(node.terms) == 1
-    outer = node.terms[0]
-    assert outer.left.value * outer.right.value == 6
-    assert outer.left.rule == "split"
-    assert len(outer.left.terms) == 1
-    inner = outer.left.terms[0]
-    assert inner.left.rule == "base"
-    assert inner.right.rule == "base"
+    lines = list(Engine().trace(WORKED23))
+    # the root resolves the last cross-ratio, cr{1,2,3,5}, over one split
+    assert lines[1] == "  resolve cr (1 2 | 3 5)"
+    assert [line for line in lines if line.startswith("  term ")] == ["  term 2 * 3 = 6"]
+    assert lines[-1] == "  = 6"
+    # side 1 resolves again, over one split into two base cases
+    assert lines[3].startswith("    side 1: d=1 ")
+    assert lines[4] == "      resolve cr (1 2 | 4 6)"
+    inner = [line.strip() for line in lines[5:lines.index("      = 2") + 1]]
+    assert [line for line in inner if line.startswith(("=", "term"))] == [
+        "= 1 (base)", "= 2 (base)", "term 1 * 2 = 2", "= 2"
+    ]
 
 
 def test_trace_marks_memoized_hits():
     engine = Engine()
     engine.evaluate(WORKED23)
-    _, node = engine.evaluate_traced(WORKED23)
-    assert node.rule == "memo"
-    assert node.value == 6
+    lines = list(engine.trace(WORKED23))
+    assert lines[1:] == ["  = 6 (memo)"]
 
 
 def _perfbench_oracles():
@@ -270,27 +288,37 @@ def test_trace_text_is_pinned_past_the_corpus():
     instances = [one_cross_ratio_family(d, 2, 3) for d in (3, 4, 5)]
     instances += [_golden_instance(shape) for shape in _golden_eval_multi_shapes()]
     for inst in instances:
-        _, node = Engine().evaluate_traced(inst)
-        sha.update("\n".join(render_trace(node)).encode() + b"\n")
+        sha.update("\n".join(Engine().trace(inst)).encode() + b"\n")
     assert sha.hexdigest() == "6f480068edba482bc423154ea0e7645c83d07b58e5bb5cbdcf41ea85cdaf2fa5"
 
 
 def _check_trace(inst) -> int:
     """Check the trace against the orbit evaluation; return the expanded split nodes.
 
-    At every expanded split node, the label-level terms (each split with
-    multiplicity one) must sum to the node's value, which comes from the
-    orbit evaluation's memo.
+    The trace is parsed by indentation.  Each ``resolve cr`` line opens a
+    sum, each ``term l * r = t`` line at its depth adds t to it, and the
+    closing ``= v`` must equal the sum: the label-level terms (each split
+    with multiplicity one) add up to the node's value, which comes from
+    the orbit evaluation's memo.
     """
-    value, root = Engine().evaluate_traced(inst)
-    assert value == root.value == Engine().evaluate(inst)
-    nodes, stack = 0, [root]
-    while stack:
-        node = stack.pop()
-        if node.rule == "split":
-            assert sum(term.term for term in node.terms) == node.value
+    lines = list(Engine().trace(inst))
+    sums = []  # [indent, running sum] of each open split node
+    nodes = 0
+    for line in lines:
+        text = line.lstrip()
+        indent = len(line) - len(text)
+        if text.startswith("resolve cr "):
+            sums.append([indent, 0])
             nodes += 1
-            stack += [child for term in node.terms for child in (term.left, term.right)]
+        elif text.startswith("term "):
+            left, right, term = map(int, text[len("term "):].replace("*", "=").split("="))
+            assert left * right == term
+            assert sums[-1][0] == indent
+            sums[-1][1] += term
+        elif text.startswith("= ") and not text.endswith(")"):
+            assert sums.pop() == [indent, int(text[2:])]
+    assert not sums
+    assert int(lines[-1].split()[1]) == Engine().evaluate(inst)
     return nodes
 
 
@@ -391,6 +419,39 @@ def test_node_count_is_pinned_on_the_family(degree, nodes, weights):
     engine = Engine()
     engine.evaluate(one_cross_ratio_family(degree, *weights))
     assert engine._nodes == nodes
+
+
+def _multi(degree: int, r: int) -> Instance:
+    """The ``multi(d, r)`` shape: many cross-ratios over two lines.
+
+    Points 1..n with n = 3d - 1 - r, lines a = n + 1 of weight 1 and
+    b = n + 2 of weight 2, and the first r of six cross-ratios.
+    """
+    n = 3 * degree - 1 - r
+    a, b = n + 1, n + 2
+    crossratios = [
+        [1, 2, a, b], [3, 4, a, 5], [1, 6, b, 7], [2, 3, 8, 9], [5, 10, 11, a], [6, 12, 13, b]
+    ]
+    return Instance.build(
+        degree, points=list(range(1, n + 1)), lines={a: 1, b: 2}, crossratios=crossratios[:r]
+    )
+
+
+def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
+    # The battery varies the root's choice only; this varies it at every node.
+    multi = _multi(7, 6)
+    assert evaluate(multi) == 1_994_058
+    calls = []
+
+    def reversed_choices(inst):
+        calls.append(inst)
+        return reversed(list(resolution_choices(inst)))
+
+    monkeypatch.setattr("crosskont.engine.resolution_choices", reversed_choices)
+    for shape in _golden_eval_multi_shapes():
+        assert evaluate(_golden_instance(shape)) == shape["count"], shape["id"]
+    assert evaluate(multi) == 1_994_058
+    assert calls
 
 
 @given(data=st.data())
