@@ -41,9 +41,9 @@ from .conditions import (
 from .resolution import VertexProfile, cross_ratio_multiplicity
 from .splits import (
     ONE_ONE,
-    Split,
-    SplitSide,
     TWO_ZERO_SIDE1_FIXED,
+    Orbit,
+    Split,
     build_subinstances,
     enumerate_splits,
     orbit_rows,
@@ -218,9 +218,11 @@ class Engine:
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
     of the same sub-instance are computed once.  A split node resolves
     the first of :func:`resolution_choices` and sums over its split
-    orbits.  A side is keyed by :func:`rows_key` of its row counts, the
-    same key as the built side's; a side without cross-ratios is valued
-    in place, any other is built only on a memo miss.
+    orbits (:func:`orbit_rows`, from block counts).  A side is looked up
+    by its degree and exact rows, which fix it up to relabelling, and
+    only rows met first pay for :func:`rows_key`, the built side's key;
+    without cross-ratios it is valued in place, else built on a memo
+    miss.  ``max_nodes`` counts distinct classes, not row sets.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -228,6 +230,7 @@ class Engine:
             raise ValueError("max_nodes must be positive")
         self.max_nodes = max_nodes
         self._memo: dict[bytes, Count] = {}
+        self._exact: dict[tuple, Count] = {}
         self._nodes = 0
         self._terms = 0
 
@@ -317,25 +320,29 @@ class Engine:
     def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
         last, pairing, line_pairs = choice
         value = 0
-        for split, m, rows1, rows2 in orbit_rows(inst, last, pairing):
-            if line_pairs is None or _isolates(inst, split, line_pairs):
-                v1 = self._side(inst, split, split.side1, rows1)
-                v2 = self._side(inst, split, split.side2, rows2)
-                value += m * v1 * v2
+        for orbit in orbit_rows(inst, last, pairing):
+            if line_pairs is None or _isolates(inst, orbit.split(), line_pairs):
+                value += orbit.weight * self._side(inst, orbit, 0) * self._side(inst, orbit, 1)
                 self._terms += 1
         return value
 
-    def _side(self, inst: Instance, split: Split, side: SplitSide, rows: dict[Row, int]) -> Count:
-        """Value of one side of a split: from the memo, in place, or built and evaluated."""
-        key = rows_key(side.degree, rows)
+    def _side(self, inst: Instance, orbit: Orbit, i: int) -> Count:
+        """Value of side ``i`` (0 or 1) of an orbit: from a memo, in place, or built on a miss."""
+        degree, rows = orbit.degrees[i], orbit.rows[i]
+        exact = degree, frozenset(rows.items())
+        if exact in self._exact:
+            return self._exact[exact]
+        key = rows_key(degree, rows)
         if key in self._memo:
-            return self._memo[key]
-        if not side.crossratios:
+            value = self._memo[key]
+        elif not orbit.crossratios[i]:
             self._count_node()
-            value = self._memo[key] = base_from_rows(side.degree, rows)
-            return value
-        pair = build_subinstances(inst, split)
-        return self._node(pair.side1 if side is split.side1 else pair.side2, key)
+            value = self._memo[key] = base_from_rows(degree, rows)
+        else:
+            pair = build_subinstances(inst, orbit.split())
+            value = self._node((pair.side1, pair.side2)[i], key)
+        self._exact[exact] = value
+        return value
 
 
 def _check(inst: Instance) -> None:

@@ -19,9 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .conditions import (
+    FREE,
+    KIND_RANK,
+    POINT,
     CrossRatio,
     EndCondition,
     Instance,
@@ -139,115 +142,130 @@ def _blocks(inst: Instance, last: int) -> list[list[Label]]:
     return list(blocks.values())
 
 
-def _block_orbits(
-    inst: Instance, last: int, pairing: Pairing
-) -> tuple[list[list[Label]], list[tuple[Split, int, tuple[int, ...]]]]:
-    """The blocks of :func:`split_orbits` and its orbits with their count vectors.
+class Orbit(NamedTuple):
+    """The splits where side 1 takes ``counts[i]`` labels of block i, ``weight`` of them.
 
-    Returns (blocks, [(representative, multiplicity, counts)]), where
-    ``counts`` says how many labels of each block side 1 takes.
+    ``degrees``, ``crossratios`` (indices) and ``rows`` (fresh end included) are each
+    side's: those of the sub-instances :func:`build_subinstances` builds from :meth:`split`.
     """
-    resolved = inst.crossratios[last]
-    if pairing.entries != resolved.entries:
-        raise ValueError("pairing does not match the resolved cross-ratio")
-    others = [j for j in range(len(inst.crossratios)) if j != last]
-    groups = [inst.crossratios[j].entries for j in others]
-    blocks = _blocks(inst, last)
-    everything = frozenset(inst.labels)
-    kinds = {x: cond.kind for x, cond in inst.conditions.items()}
-    orbits = []
-    for counts in itertools.product(*(range(len(block) + 1) for block in blocks)):
-        labels1 = frozenset(pairing.first).union(*(block[:k] for block, k in zip(blocks, counts)))
-        routed = route_groups(groups, labels1)
-        if routed is None:
-            continue
-        to1, to2 = routed
-        # Side 1 contributes only with deficiency 3 d1 + excess in 0..2, which
-        # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
-        excess = deficiency(0, [kinds[x] for x in labels1], len(to1))
-        d1 = -(excess // 3)
-        if 0 <= d1 <= inst.degree:
-            side1 = SplitSide(d1, labels1, frozenset(others[i] for i in to1))
-            side2 = SplitSide(
-                inst.degree - d1, everything - labels1, frozenset(others[i] for i in to2)
-            )
-            delta = 3 * d1 + excess
-            kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
-            weight = math.prod(map(math.comb, map(len, blocks), counts))
-            orbits.append((Split(side1, side2, kind), weight, counts))
-    return blocks, orbits
+
+    kind: str
+    weight: int
+    counts: tuple[int, ...]
+    degrees: tuple[int, int]
+    crossratios: tuple[frozenset[int], frozenset[int]]
+    rows: tuple[dict[Row, int], dict[Row, int]]
+    blocks: list[list[Label]]
+    pairing: Pairing
+
+    def split(self) -> Split:
+        """The representative: side 1 takes the first ``counts`` labels of each block."""
+        pairs = list(zip(self.blocks, self.counts))
+        labels1 = frozenset(self.pairing.first).union(*(block[:k] for block, k in pairs))
+        labels2 = frozenset(self.pairing.second).union(*(block[k:] for block, k in pairs))
+        sides = map(SplitSide, self.degrees, (labels1, labels2), self.crossratios)
+        return Split(*sides, self.kind)
 
 
-def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Split, int]]:
-    """The contributing splits of ``inst`` along cross-ratio ``last``, one per orbit.
+def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
+    """The contributing splits of ``inst`` along cross-ratio ``last``, one :class:`Orbit` each.
 
     ``pairing`` groups that cross-ratio's entries, its first pair pinned
     to side 1 and its second to side 2.  A split shares out the degree
     and the other labels with deficiency vector (1, 1), (0, 2) or (2, 0);
     a remaining cross-ratio follows the side holding at least three of
     its entries, and two-two placements are dropped.  Labels with equal
-    condition and cross-ratio memberships are interchangeable, so each
-    count of such labels on side 1 yields one representative (the
-    first labels on side 1) and its multiplicity, the product of
-    C(block size, count).
+    condition and cross-ratio memberships form a block.  The blocks are
+    placed depth first, in lexicographic order of the counts, carrying
+    each remaining cross-ratio's entries on side 1; a branch stops once
+    a cross-ratio whose last block is placed holds two.  Those counts
+    route the cross-ratios and put a side's fresh end in those its side
+    holds three entries of, without label sets.
     """
-    return [(split, weight) for split, weight, _ in _block_orbits(inst, last, pairing)[1]]
-
-
-def orbit_rows(
-    inst: Instance, last: int, pairing: Pairing
-) -> list[tuple[Split, int, dict[Row, int], dict[Row, int]]]:
-    """:func:`split_orbits`, each with the row counts of its two sub-instances.
-
-    The rows come from block counts, without building the sub-instances:
-    a side has the rows of its pinned pair and of the labels it takes
-    from each block, over the cross-ratios routed to it, and the row of
-    its fresh end, which belongs to a routed cross-ratio exactly when
-    three of that cross-ratio's entries sit on the side.  They equal
-    :func:`label_rows` of the sides :func:`build_subinstances` builds.
-    """
-    blocks, orbits = _block_orbits(inst, last, pairing)
+    if pairing.entries != inst.crossratios[last].entries:
+        raise ValueError("pairing does not match the resolved cross-ratio")
     crs = [cr.entries for cr in inst.crossratios]
+    others = [j for j in range(len(crs)) if j != last]
+    blocks = _blocks(inst, last)
     row_of = lambda x: condition_row(inst.conditions[x], tuple(x in cr for cr in crs))
     # side 1's pinned pair, side 2's pinned pair, then one row per block
-    parent = [row_of(x) for x in (*pairing.first, *pairing.second)]
-    parent += [row_of(block[0]) for block in blocks]
-    projected: dict[frozenset[int], list[Row]] = {}
+    parent = [row_of(x) for x in (*pairing.first, *pairing.second, *(b[0] for b in blocks))]
+    # a label's share of side 1's deficiency: +1 free, -1 point
+    excess = [(rank == KIND_RANK[FREE]) - (rank == KIND_RANK[POINT]) for rank, _, _ in parent]
+    members = [[i for i, j in enumerate(others) if vec[j]] for _, _, vec in parent]
+    sizes = [1, 1, 1, 1, *map(len, blocks)]
+    taken = [1, 1, 0, 0, *(0 for _ in blocks)]  # side 1's share of each parent row
+    near = [0] * len(others)  # entries of each remaining cross-ratio on side 1
+    for i in members[0] + members[1]:
+        near[i] += 1
+    closing: list[list[int]] = [[] for _ in blocks]  # the cross-ratios each block holds last
+    last_holder = {i: b for b in range(len(blocks)) for i in members[4 + b]}
+    for i, b in last_holder.items():
+        closing[b].append(i)
+    if any(n == 2 for i, n in enumerate(near) if i not in last_holder):
+        return []
+    routes: dict[tuple[bool, ...], tuple] = {}
+    orbits: list[Orbit] = []
 
-    def side_rows(side: SplitSide, end: EndCondition, shares: Sequence[int]) -> dict[Row, int]:
-        cols = sorted(side.crossratios)
-        if side.crossratios not in projected:
-            projected[side.crossratios] = [
-                (rank, weight, tuple(map(vec.__getitem__, cols))) for rank, weight, vec in parent
-            ]
-        rows: dict[Row, int] = {}
-        for row, n in zip(projected[side.crossratios], shares):
-            if n:
-                rows[row] = rows.get(row, 0) + n
-        fresh = condition_row(end, tuple(len(crs[j] & side.labels) == 3 for j in cols))
-        rows[fresh] = rows.get(fresh, 0) + 1
-        return rows
+    def close(weight: int, surplus: int) -> None:
+        on1 = tuple(n >= 3 for n in near)
+        if on1 not in routes:
+            cols = [[j for j, on in zip(others, on1) if on == side] for side in (True, False)]
+            projected = [[(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent] for c in cols]
+            routes[on1] = sum(on1), tuple(map(frozenset, cols)), projected
+        routed, crossratios, (projected1, projected2) = routes[on1]
+        # Side 1 contributes only with deficiency 3 d1 + surplus in 0..2, which
+        # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
+        surplus -= routed
+        d1 = -(surplus // 3)
+        if not 0 <= d1 <= inst.degree:
+            return
+        delta = 3 * d1 + surplus
+        kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
+        end1, end2 = _E_CONDITIONS[kind]
+        rows1 = {condition_row(end1, tuple(n == 3 for n in near if n >= 3)): 1}
+        rows2 = {condition_row(end2, tuple(n == 1 for n in near if n < 3)): 1}
+        for row1, row2, k, size in zip(projected1, projected2, taken, sizes):
+            if k:
+                rows1[row1] = rows1.get(row1, 0) + k
+            if k < size:
+                rows2[row2] = rows2.get(row2, 0) + size - k
+        sides = (d1, inst.degree - d1), crossratios, (rows1, rows2)
+        orbits.append(Orbit(kind, weight, tuple(taken[4:]), *sides, blocks, pairing))
 
-    sides = []
-    for split, weight, counts in orbits:
-        end1, end2 = _E_CONDITIONS[split.kind]
-        rest = [len(block) - k for block, k in zip(blocks, counts)]
-        rows1 = side_rows(split.side1, end1, (1, 1, 0, 0, *counts))
-        rows2 = side_rows(split.side2, end2, (0, 0, 1, 1, *rest))
-        sides.append((split, weight, rows1, rows2))
-    return sides
+    def place(b: int, weight: int, surplus: int) -> None:
+        if b == len(blocks):
+            return close(weight, surplus)
+        size, holds, shut = sizes[4 + b], members[4 + b], closing[b]
+        for k in range(size + 1):
+            if k:
+                for i in holds:
+                    near[i] += 1
+            if not (shut and 2 in [near[i] for i in shut]):
+                taken[4 + b] = k
+                place(b + 1, weight * math.comb(size, k), surplus + k * excess[4 + b])
+        for i in holds:
+            near[i] -= size
+
+    place(0, 1, excess[0] + excess[1])
+    return orbits
+
+
+def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Split, int]]:
+    """Each of :func:`orbit_rows` as its representative split and multiplicity."""
+    return [(orbit.split(), orbit.weight) for orbit in orbit_rows(inst, last, pairing)]
 
 
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
-    """Every contributing split, each of :func:`split_orbits` expanded.
+    """Every contributing split, each of :func:`orbit_rows` expanded.
 
     Sorted by side 1's degree, then by the labels it takes beside the
     pinned pair, fewest first, then in combination order.
     """
-    blocks, orbits = _block_orbits(inst, last, pairing)
     splits = []
-    for rep, _, counts in orbits:
-        for chosen in itertools.product(*map(itertools.combinations, blocks, counts)):
+    for orbit in orbit_rows(inst, last, pairing):
+        rep = orbit.split()
+        for chosen in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts)):
             labels1 = frozenset(pairing.first).union(*chosen)
             side2 = replace(rep.side2, labels=frozenset(inst.labels) - labels1)
             splits.append(Split(replace(rep.side1, labels=labels1), side2, rep.kind))

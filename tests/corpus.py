@@ -10,9 +10,12 @@ three cross-ratios, three multi lines and two free ends).
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
-from crosskont import Instance, canonical_key, validate
+from crosskont import Instance, build_subinstances, canonical_key, split_orbits, validate
+from crosskont.engine import resolution_choices
 
 SEED = 20260815
 SIZE = 64
@@ -92,6 +95,40 @@ def one_cross_ratio_family(degree: int, wa: int = 1, wb: int = 1) -> Instance:
     return Instance.build(
         degree, points=range(1, n + 1), lines={a: wa, b: wb}, crossratios=[[1, 2, a, b]]
     )
+
+
+def golden_eval_multi_shapes() -> list[dict]:
+    """The 16 shapes of the eval-multi benchmark with their recorded counts."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
+    return json.loads(path.read_text())["shapes"]
+
+
+def golden_instance(shape: dict) -> Instance:
+    return Instance.build(
+        shape["degree"],
+        points=shape["points"],
+        lines=[tuple(line) for line in shape["lines"]],
+        free=shape["free"],
+        crossratios=shape["crossratios"],
+    )
+
+
+def split_nodes(inst: Instance):
+    """Every distinct instance the engine resolves below ``inst``, with its default choice."""
+    nodes = {}
+    stack = [inst]
+    while stack:
+        node = stack.pop()
+        key = canonical_key(node)
+        if key in nodes or not node.crossratios or node.degree == 0:
+            continue
+        choice = nodes[key] = (node, next(resolution_choices(node), None))
+        if choice[1] is not None:
+            last, pairing, _ = choice[1]
+            for split, _ in split_orbits(node, last, pairing):
+                pair = build_subinstances(node, split)
+                stack += [pair.side1, pair.side2]
+    return nodes.values()
 
 
 CORPUS = build_corpus()

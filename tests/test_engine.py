@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import json
+import itertools
 import math
 import subprocess
 import sys
@@ -31,9 +31,16 @@ from crosskont.engine import (
     base_no_crossratios,
     resolution_choices,
 )
-from crosskont.splits import build_subinstances, orbit_rows, split_orbits
+from crosskont.splits import build_subinstances, orbit_rows
 
-from corpus import CORPUS, SMALL, one_cross_ratio_family
+from corpus import (
+    CORPUS,
+    SMALL,
+    golden_eval_multi_shapes,
+    golden_instance,
+    one_cross_ratio_family,
+    split_nodes,
+)
 
 WORKED = Instance.build(
     2, points=[1, 2, 3], lines={4: 1, 5: 1}, crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]]
@@ -265,28 +272,13 @@ def test_one_cross_ratio_family_matches_the_second_closed_form(degree, weights):
     assert evaluate(one_cross_ratio_family(degree, *weights)) == expected
 
 
-def _golden_eval_multi_shapes():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
-    return json.loads(path.read_text())["shapes"]
-
-
-def _golden_instance(shape) -> Instance:
-    return Instance.build(
-        shape["degree"],
-        points=shape["points"],
-        lines=[tuple(line) for line in shape["lines"]],
-        free=shape["free"],
-        crossratios=shape["crossratios"],
-    )
-
-
 def test_trace_text_is_pinned_past_the_corpus():
     # One SHA-256 over the rendered traces of the family at d = 3, 4, 5 and
     # the golden shapes, recorded when the trace came from a label-level
     # evaluation of its own. A change that alters the text updates this pin.
     sha = hashlib.sha256()
     instances = [one_cross_ratio_family(d, 2, 3) for d in (3, 4, 5)]
-    instances += [_golden_instance(shape) for shape in _golden_eval_multi_shapes()]
+    instances += [golden_instance(shape) for shape in golden_eval_multi_shapes()]
     for inst in instances:
         sha.update("\n".join(Engine().trace(inst)).encode() + b"\n")
     assert sha.hexdigest() == "6f480068edba482bc423154ea0e7645c83d07b58e5bb5cbdcf41ea85cdaf2fa5"
@@ -334,9 +326,9 @@ def test_orbit_splits_match_label_level_splits_on_the_family(degree, weights):
     assert _check_trace(one_cross_ratio_family(degree, *weights)) == 1
 
 
-@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
-    inst = _golden_instance(shape)
+    inst = golden_instance(shape)
     assert _check_trace(inst) > 0
     assert evaluate(inst) == shape["count"]
 
@@ -344,13 +336,16 @@ def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
 def _check_orbit_rows(inst, last, pairing) -> int:
     """Compare each side's rows with the sub-instance built for it; return the sides seen."""
     sides = 0
-    for split, _, rows1, rows2 in orbit_rows(inst, last, pairing):
+    for orbit in orbit_rows(inst, last, pairing):
+        split = orbit.split()
         pair = build_subinstances(inst, split)
-        for side, rows, sub in ((split.side1, rows1, pair.side1), (split.side2, rows2, pair.side2)):
+        shares = zip((split.side1, split.side2), orbit.degrees, orbit.crossratios, orbit.rows)
+        for (side, degree, crossratios, rows), sub in zip(shares, (pair.side1, pair.side2)):
+            assert (degree, crossratios) == (side.degree, side.crossratios)
             assert rows == label_rows(sub)
-            assert rows_key(side.degree, rows) == canonical_key(sub)
+            assert rows_key(degree, rows) == canonical_key(sub)
             if not sub.crossratios:
-                assert base_from_rows(side.degree, rows) == base_no_crossratios(sub)
+                assert base_from_rows(degree, rows) == base_no_crossratios(sub)
             sides += 1
     return sides
 
@@ -371,27 +366,9 @@ def test_side_rows_match_the_built_sub_instances_on_the_family(degree):
     assert all(_check_orbit_rows(inst, 0, pairing) for pairing in all_pairings(inst.crossratios[0]))
 
 
-def _split_nodes(inst):
-    """Every distinct instance the engine resolves below ``inst``, with its default choice."""
-    nodes = {}
-    stack = [inst]
-    while stack:
-        node = stack.pop()
-        key = canonical_key(node)
-        if key in nodes or not node.crossratios or node.degree == 0:
-            continue
-        choice = nodes[key] = (node, next(resolution_choices(node), None))
-        if choice[1] is not None:
-            last, pairing, _ = choice[1]
-            for split, _ in split_orbits(node, last, pairing):
-                pair = build_subinstances(node, split)
-                stack += [pair.side1, pair.side2]
-    return nodes.values()
-
-
-@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
-    for node, choice in _split_nodes(_golden_instance(shape)):
+    for node, choice in split_nodes(golden_instance(shape)):
         if choice is not None:
             last, pairing, _ = choice
             _check_orbit_rows(node, last, pairing)
@@ -406,10 +383,10 @@ GOLDEN_NODES = {
 }
 
 
-@pytest.mark.parametrize("shape", _golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_node_count_is_pinned_on_the_golden_shapes(shape):
     engine = Engine()
-    engine.evaluate(_golden_instance(shape))
+    engine.evaluate(golden_instance(shape))
     assert engine._nodes == GOLDEN_NODES[shape["id"]]
 
 
@@ -437,10 +414,8 @@ def _multi(degree: int, r: int) -> Instance:
     )
 
 
-def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
-    # The battery varies the root's choice only; this varies it at every node.
-    multi = _multi(7, 6)
-    assert evaluate(multi) == 1_994_058
+def _resolve_in_reverse(monkeypatch) -> list[Instance]:
+    """Make every node take the last of its resolution choices; return the nodes asking."""
     calls = []
 
     def reversed_choices(inst):
@@ -448,10 +423,55 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
         return reversed(list(resolution_choices(inst)))
 
     monkeypatch.setattr("crosskont.engine.resolution_choices", reversed_choices)
-    for shape in _golden_eval_multi_shapes():
-        assert evaluate(_golden_instance(shape)) == shape["count"], shape["id"]
+    return calls
+
+
+def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
+    # The battery varies the root's choice only; this varies it at every node.
+    multi = _multi(7, 6)
+    assert evaluate(multi) == 1_994_058
+    calls = _resolve_in_reverse(monkeypatch)
+    for shape in golden_eval_multi_shapes():
+        assert evaluate(golden_instance(shape)) == shape["count"], shape["id"]
     assert evaluate(multi) == 1_994_058
     assert calls
+
+
+@pytest.mark.parametrize("reverse, nodes", [(False, 1_046), (True, 682)])
+def test_frontier_count_and_node_count_are_pinned(monkeypatch, reverse, nodes):
+    # multi(8, 4), with both figures recorded before the exact-rows memo and
+    # the count-only orbit kernel: neither may change what is counted.
+    if reverse:
+        _resolve_in_reverse(monkeypatch)
+    engine = Engine()
+    assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
+    assert engine._nodes == nodes
+
+
+def _weight_one_classes(degree: int, points: int, lines: int, r: int) -> list[Instance]:
+    """One instance per class up to relabelling: weight-1 lines, r distinct cross-ratios."""
+    labels = range(1, points + lines + 1)
+    classes = {}
+    for crossratios in itertools.combinations(itertools.combinations(labels, 4), r):
+        inst = Instance.build(
+            degree,
+            points=labels[:points],
+            lines={x: 1 for x in labels[points:]},
+            crossratios=crossratios,
+        )
+        classes.setdefault(canonical_key(inst), inst)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize(
+    "degree, points, lines, r, classes", [(1, 0, 6, 2, 2), (1, 0, 7, 2, 3), (2, 2, 5, 3, 76)]
+)
+def test_every_root_choice_agrees_on_every_weight_one_class(degree, points, lines, r, classes):
+    # Exhaustive over the shapes the no-point fix covers; the shapes with a
+    # free end still disagree (see resolution_choices) and are not swept.
+    found = _weight_one_classes(degree, points, lines, r)
+    assert len(found) == classes
+    assert [inst for inst in found if not evaluate_invariance_battery(inst).ok] == []
 
 
 @given(data=st.data())

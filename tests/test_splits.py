@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, defaultdict
 
 import pytest
@@ -19,10 +20,25 @@ from crosskont import (
     split_orbits,
     validate,
 )
-from crosskont.conditions import all_pairings
-from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, TWO_ZERO_SIDE2_FIXED, Split, SplitSide
+from crosskont.conditions import all_pairings, label_rows
+from crosskont.splits import (
+    ONE_ONE,
+    TWO_ZERO_SIDE1_FIXED,
+    TWO_ZERO_SIDE2_FIXED,
+    Split,
+    SplitSide,
+    orbit_rows,
+    route_groups,
+)
 
-from corpus import CORPUS, SMALL, one_cross_ratio_family
+from corpus import (
+    CORPUS,
+    SMALL,
+    golden_eval_multi_shapes,
+    golden_instance,
+    one_cross_ratio_family,
+    split_nodes,
+)
 
 WORKED = Instance.build(
     2, points=[1, 2, 3], lines={4: 1, 5: 1}, crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]]
@@ -264,3 +280,86 @@ def test_split_sides_partition_the_labels(data):
         assert split.side1.degree + split.side2.degree == inst.degree
         deficiencies = (split.side1.deficiency(inst), split.side2.deficiency(inst))
         assert CONTRIBUTING[deficiencies] == split.kind
+
+
+def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
+    """Reference orbits from label sets: every vector of block counts, filtered afterwards.
+
+    Blocks the labels outside the resolved cross-ratio by condition and
+    memberships, tries the product of ``range(block size + 1)``, builds
+    side 1's labels, routes the other cross-ratios with ``route_groups``,
+    keeps each contributing degree and reads both sides' rows off the
+    built sub-instances.  Returns (kind, degrees, weight, counts,
+    cross-ratios, rows, labels) per orbit, in product order.
+    """
+    blocks: dict = {}
+    for x in inst.labels:
+        if x not in inst.crossratios[last]:
+            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
+            blocks.setdefault(key, []).append(x)
+    blocks = list(blocks.values())
+    others = [j for j in range(len(inst.crossratios)) if j != last]
+    groups = [inst.crossratios[j].entries for j in others]
+    found = []
+    for counts in itertools.product(*(range(len(block) + 1) for block in blocks)):
+        labels1 = frozenset(pairing.first).union(*(b[:k] for b, k in zip(blocks, counts)))
+        labels2 = frozenset(inst.labels) - labels1
+        routed = route_groups(groups, labels1)
+        if routed is None:
+            continue
+        crs = tuple(frozenset(others[i] for i in side) for side in routed)
+        weight = math.prod(map(math.comb, map(len, blocks), counts))
+        for d1 in range(inst.degree + 1):
+            degrees = (d1, inst.degree - d1)
+            sides = [SplitSide(*args) for args in zip(degrees, (labels1, labels2), crs)]
+            kind = CONTRIBUTING.get((sides[0].deficiency(inst), sides[1].deficiency(inst)))
+            if kind is not None:
+                pair = build_subinstances(inst, Split(*sides, kind))
+                rows = (label_rows(pair.side1), label_rows(pair.side2))
+                found.append((kind, degrees, weight, counts, crs, rows, (labels1, labels2)))
+    return found
+
+
+def _kernel_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
+    found = []
+    for orbit in orbit_rows(inst, last, pairing):
+        split = orbit.split()
+        assert (split.side1.degree, split.side2.degree) == orbit.degrees
+        assert (split.side1.crossratios, split.side2.crossratios) == orbit.crossratios
+        labels = (split.side1.labels, split.side2.labels)
+        shares = (orbit.crossratios, orbit.rows, labels)
+        found.append((orbit.kind, orbit.degrees, orbit.weight, orbit.counts, *shares))
+    return found
+
+
+def _check_kernel(inst: Instance, last: int, pairing: Pairing) -> int:
+    got = _kernel_orbits(inst, last, pairing)
+    assert got == product_orbits(inst, last, pairing)
+    return len(got)
+
+
+def test_orbit_kernel_matches_the_product_loop_on_the_corpus():
+    cases = orbits = 0
+    for inst in CORPUS:
+        for last in range(len(inst.crossratios)):
+            for pairing in all_pairings(inst.crossratios[last]):
+                orbits += _check_kernel(inst, last, pairing)
+                cases += 1
+    assert cases == 183 and orbits > cases
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_orbit_kernel_matches_the_product_loop_on_the_family(degree):
+    inst = one_cross_ratio_family(degree, 2, 3)
+    assert all(_check_kernel(inst, 0, pairing) for pairing in all_pairings(inst.crossratios[0]))
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_orbit_kernel_matches_the_product_loop_on_the_golden_split_nodes(shape):
+    checked = 0
+    for node, choice in split_nodes(golden_instance(shape)):
+        if choice is not None:
+            last, pairing, _ = choice
+            _check_kernel(node, last, pairing)
+            checked += 1
+    assert checked
