@@ -44,7 +44,6 @@ from .splits import (
     SubInstancePair,
     build_subinstances,
     enumerate_splits,
-    split_orbits,
 )
 from .stablemap import (
     BoundedEdge,
@@ -88,7 +87,6 @@ __all__ = [
     "SubInstancePair",
     "build_subinstances",
     "enumerate_splits",
-    "split_orbits",
     "BoundedEdge",
     "End",
     "EndTag",

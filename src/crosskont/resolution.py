@@ -17,12 +17,13 @@ which the cross-ratios are resolved and of the chosen pairings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import Label, Pairing, CrossRatio, all_pairings
-from .splits import placements
+from .splits import route_groups
 
 SlotId = int
 
@@ -114,10 +115,13 @@ def resolve_once(
 
     groups = [frozenset(table.values()) for _, table in others]
     out = []
-    for side1, side2, to1, to2 in placements(groups, first, second, rest):
-        # Both child valence equations are equivalent given the totals.
-        if len(side1) + 1 == 3 + len(to1):
-            out.append((child(side1, to1), child(side2, to2)))
+    for k in range(len(rest) + 1):
+        for chosen in itertools.combinations(rest, k):
+            side1 = first | frozenset(chosen)
+            routed = route_groups(groups, side1)
+            # Side 1 holds 2 + k slots, so both child valence equations read len(to1) == k.
+            if routed is not None and len(routed[0]) == k:
+                out.append((child(side1, routed[0]), child(profile.slots - side1, routed[1])))
     return out
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .conditions import (
     FREE,
@@ -74,27 +74,6 @@ def route_groups(
     return to1, to2
 
 
-def placements(
-    groups: Sequence[frozenset],
-    pinned1: frozenset,
-    pinned2: frozenset,
-    movable: Sequence,
-) -> Iterator[tuple[frozenset, frozenset, list[int], list[int]]]:
-    """Every placement of ``movable`` beside the two pinned pairs.
-
-    Yields (side 1, side 2, groups on side 1, groups on side 2) by
-    growing number of movable entries on side 1, then in combination
-    order, skipping placements that :func:`route_groups` rejects.
-    """
-    everything = frozenset(movable)
-    for k in range(len(movable) + 1):
-        for chosen in itertools.combinations(movable, k):
-            side1 = pinned1 | frozenset(chosen)
-            routed = route_groups(groups, side1)
-            if routed is not None:
-                yield side1, pinned2 | (everything - side1), routed[0], routed[1]
-
-
 @dataclass(frozen=True, slots=True)
 class SplitSide:
     """Degree and condition shares of one side of a split."""
@@ -130,16 +109,6 @@ class SubInstancePair:
     side2: Instance
     e1: Label
     e2: Label
-
-
-def _blocks(inst: Instance, last: int) -> list[list[Label]]:
-    """The labels outside cross-ratio ``last``, blocked by condition and cross-ratio memberships."""
-    blocks: dict = {}
-    for x in inst.labels:
-        if x not in inst.crossratios[last]:
-            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
-            blocks.setdefault(key, []).append(x)
-    return list(blocks.values())
 
 
 class Orbit(NamedTuple):
@@ -186,10 +155,14 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
         raise ValueError("pairing does not match the resolved cross-ratio")
     crs = [cr.entries for cr in inst.crossratios]
     others = [j for j in range(len(crs)) if j != last]
-    blocks = _blocks(inst, last)
     row_of = lambda x: condition_row(inst.conditions[x], tuple(x in cr for cr in crs))
+    grouped: dict[Row, list[Label]] = {}
+    for x in inst.labels:
+        if x not in crs[last]:
+            grouped.setdefault(row_of(x), []).append(x)
+    blocks = list(grouped.values())
     # side 1's pinned pair, side 2's pinned pair, then one row per block
-    parent = [row_of(x) for x in (*pairing.first, *pairing.second, *(b[0] for b in blocks))]
+    parent = [*map(row_of, (*pairing.first, *pairing.second)), *grouped]
     # a label's share of side 1's deficiency: +1 free, -1 point
     excess = [(rank == KIND_RANK[FREE]) - (rank == KIND_RANK[POINT]) for rank, _, _ in parent]
     members = [[i for i, j in enumerate(others) if vec[j]] for _, _, vec in parent]
@@ -251,11 +224,6 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
     return orbits
 
 
-def split_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple[Split, int]]:
-    """Each of :func:`orbit_rows` as its representative split and multiplicity."""
-    return [(orbit.split(), orbit.weight) for orbit in orbit_rows(inst, last, pairing)]
-
-
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
     """Every contributing split, each of :func:`orbit_rows` expanded.
 
@@ -264,11 +232,11 @@ def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]
     """
     splits = []
     for orbit in orbit_rows(inst, last, pairing):
-        rep = orbit.split()
         for chosen in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts)):
             labels1 = frozenset(pairing.first).union(*chosen)
-            side2 = replace(rep.side2, labels=frozenset(inst.labels) - labels1)
-            splits.append(Split(replace(rep.side1, labels=labels1), side2, rep.kind))
+            labels = labels1, frozenset(inst.labels) - labels1
+            sides = map(SplitSide, orbit.degrees, labels, orbit.crossratios)
+            splits.append(Split(*sides, orbit.kind))
     moved = lambda split: sorted(split.side1.labels - set(pairing.first))
     return sorted(splits, key=lambda split: (split.side1.degree, len(moved(split)), moved(split)))
 

@@ -373,7 +373,6 @@ def ev_matrix(map: StableMap) -> EvMatrix:
     parents = map._parents(base_vertex)
     length_edges = [edge for edge in map.edges if not edge.contracted]
     column_of = {edge.id: 2 + i for i, edge in enumerate(length_edges)}
-    width = 2 + len(length_edges)
     rows: list[tuple[int, ...]] = []
     row_labels: list[str] = []
     for end in sorted(map.ends, key=lambda e: e.label):
@@ -386,24 +385,18 @@ def ev_matrix(map: StableMap) -> EvMatrix:
             here, edge, sign = parents[here]
             if not edge.contracted:
                 shifts.append((column_of[edge.id], (sign * edge.vector[0], sign * edge.vector[1])))
+        # a point is cut out by both coordinate covectors, a line by its weighted normal
         if end.tag.kind == POINT:
-            for coord in range(2):
-                row = [0] * width
-                row[coord] = 1
-                for column, vector in shifts:
-                    row[column] = vector[coord]
-                rows.append(tuple(row))
-                row_labels.append(f"{end.label}.{'xy'[coord]}")
+            covectors = {f"{end.label}.x": (1, 0), f"{end.label}.y": (0, 1)}
         else:
-            nx, ny = end.tag.normal
             w = end.tag.weight
-            row = [0] * width
-            row[0] = w * nx
-            row[1] = w * ny
-            for column, vector in shifts:
-                row[column] = w * (nx * vector[0] + ny * vector[1])
+            covectors = {str(end.label): (w * end.tag.normal[0], w * end.tag.normal[1])}
+        for name, (cx, cy) in covectors.items():
+            row = [cx, cy] + [0] * len(length_edges)
+            for column, (vx, vy) in shifts:
+                row[column] = cx * vx + cy * vy
             rows.append(tuple(row))
-            row_labels.append(str(end.label))
+            row_labels.append(name)
     columns = ("x", "y") + tuple(edge.id for edge in length_edges)
     return EvMatrix(tuple(rows), tuple(row_labels), columns)
 

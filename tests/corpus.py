@@ -14,8 +14,9 @@ import json
 import random
 from pathlib import Path
 
-from crosskont import Instance, build_subinstances, canonical_key, split_orbits, validate
+from crosskont import Instance, build_subinstances, canonical_key, validate
 from crosskont.engine import resolution_choices
+from crosskont.splits import orbit_rows
 
 SEED = 20260815
 SIZE = 64
@@ -97,10 +98,19 @@ def one_cross_ratio_family(degree: int, wa: int = 1, wb: int = 1) -> Instance:
     )
 
 
+def _golden_shapes(pool: str) -> list[dict]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / f"{pool}.json"
+    return json.loads(path.read_text())["shapes"]
+
+
 def golden_eval_multi_shapes() -> list[dict]:
     """The 16 shapes of the eval-multi benchmark with their recorded counts."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
-    return json.loads(path.read_text())["shapes"]
+    return _golden_shapes("eval_multi")
+
+
+def golden_multcr_shapes() -> list[dict]:
+    """The 14 vertex profiles of the multcr benchmark (r = 8..14) with their recorded counts."""
+    return _golden_shapes("multcr")
 
 
 def golden_instance(shape: dict) -> Instance:
@@ -125,8 +135,8 @@ def split_nodes(inst: Instance):
         choice = nodes[key] = (node, next(resolution_choices(node), None))
         if choice[1] is not None:
             last, pairing, _ = choice[1]
-            for split, _ in split_orbits(node, last, pairing):
-                pair = build_subinstances(node, split)
+            for orbit in orbit_rows(node, last, pairing):
+                pair = build_subinstances(node, orbit.split())
                 stack += [pair.side1, pair.side2]
     return nodes.values()
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosskont import cli
+from crosskont import cli, evaluate_invariance_battery
 from crosskont.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -498,3 +498,31 @@ def test_cli_output_digest_is_pinned():
         204,
         "e5c938e2acb7374b630301de7f6198539b26f752cc8337544a44578949062bd9",
     )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # a free end makes the root choices disagree (ROADMAP item 1, step 2)
+        dict(
+            lines=[1, 2, 3, 4, 5], free=[6], crossratios=[[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
+        ),
+        dict(lines=[1, 2, 3, 4, 5, 6], crossratios=[[1, 2, 3, 4], [1, 2, 5, 6]]),
+    ],
+)
+def test_check_reports_each_mismatch_of_the_battery(capsys, tmp_path, fields):
+    lines = [{"label": x, "weight": 1} for x in fields["lines"]]
+    document = _instance_document(**(fields | {"points": [], "lines": lines}))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    report = evaluate_invariance_battery(cli.instance_from_dict(document))
+    code, out, err = run(capsys, "eval", "--check", path)
+    assert code == (0 if report.ok else 1)
+    expected = [
+        f"mismatch: cr {v.last} pairing ({v.pairing.first[0]} {v.pairing.first[1]} | "
+        f"{v.pairing.second[0]} {v.pairing.second[1]}) gave {v.value}, expected {report.value}"
+        for v in report.mismatches
+    ]
+    assert err.splitlines() == expected
+    summary = [f"invariance ok over {len(report.variants)} variants", str(report.value)]
+    assert out.splitlines() == (summary if report.ok else [])

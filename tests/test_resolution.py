@@ -18,6 +18,9 @@ from crosskont import (
     resolve_once,
 )
 from crosskont.conditions import all_pairings
+from crosskont.splits import route_groups
+
+from corpus import golden_multcr_shapes
 
 FIVE = ([1, 2, 3, 4, 5], [[1, 2, 3, 4], [1, 2, 3, 5]])
 SIX = ([1, 2, 3, 4, 5, 6], [[1, 2, 5, 6], [3, 4, 5, 6], [1, 2, 3, 4]])
@@ -119,6 +122,72 @@ def test_resolve_once_brute_matches_partition_count():
     prof = profile(*SIX)
     children = resolve_once(prof, 0, all_pairings(CrossRatio.of(1, 2, 5, 6))[0])
     assert len(children) == 2
+
+
+def _placement_loop(prof, target, pairing):
+    """Reference resolver: route every subset of the free slots, then check side 1's valence."""
+    table = prof.routes[target]
+    first = frozenset(table[entry] for entry in pairing.first)
+    second = frozenset(table[entry] for entry in pairing.second)
+    rest = sorted(prof.slots - first - second)
+    new_slot = max(prof.slots) + 1
+    others = [(cr, table) for cr, table in prof.routes.items() if cr != target]
+    groups = [frozenset(table.values()) for _, table in others]
+
+    def child(side, routed):
+        routes = {}
+        for cr, table in (others[i] for i in routed):
+            routes[cr] = {entry: s if s in side else new_slot for entry, s in table.items()}
+        return VertexProfile(side | {new_slot}, routes)
+
+    out = []
+    for k in range(len(rest) + 1):
+        for chosen in itertools.combinations(rest, k):
+            side1 = first | frozenset(chosen)
+            routed = route_groups(groups, side1)
+            if routed is None:
+                continue
+            to1, to2 = routed
+            side2 = second | (frozenset(rest) - side1)
+            if len(side1) + 1 == 3 + len(to1):
+                out.append((child(side1, to1), child(side2, to2)))
+    return out
+
+
+def _small_profiles():
+    """The criterion-6 profiles with at most two cross-ratios, each target under all pairings."""
+    for r in range(1, 3):
+        slots = tuple(range(1, 4 + r))
+        for crs in itertools.combinations_with_replacement(itertools.combinations(slots, 4), r):
+            prof = VertexProfile.of(slots, crs)
+            for target, cr in enumerate(crs):
+                for pairing in all_pairings(CrossRatio.of(*cr)):
+                    yield prof, target, pairing
+
+
+def _golden_profiles():
+    """Every target of the golden multcr profiles, under its default pairing."""
+    for shape in golden_multcr_shapes():
+        prof = VertexProfile.of(shape["slots"], shape["crossratios"])
+        for target, cr in enumerate(shape["crossratios"]):
+            yield prof, target, all_pairings(CrossRatio.of(*cr))[0]
+
+
+@pytest.mark.parametrize("cases", [_small_profiles, _golden_profiles])
+def test_resolve_once_matches_the_placement_loop(cases):
+    checked = 0
+    for prof, target, pairing in cases():
+        assert resolve_once(prof, target, pairing) == _placement_loop(prof, target, pairing)
+        checked += 1
+    assert checked == {_small_profiles: 93, _golden_profiles: 154}[cases]
+
+
+def test_golden_multcr_counts():
+    shapes = golden_multcr_shapes()
+    assert len(shapes) == 14
+    for shape in shapes:
+        prof = VertexProfile.of(shape["slots"], shape["crossratios"])
+        assert cross_ratio_multiplicity(prof) == shape["count"], shape["id"]
 
 
 def test_total_resolutions_five_slot_example():

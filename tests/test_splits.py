@@ -17,7 +17,6 @@ from crosskont import (
     build_subinstances,
     canonical_key,
     enumerate_splits,
-    split_orbits,
     validate,
 )
 from crosskont.conditions import all_pairings, label_rows
@@ -197,17 +196,18 @@ def test_split_orbits_group_the_label_level_splits():
     for inst in CORPUS:
         for last in range(len(inst.crossratios)):
             for pairing in all_pairings(inst.crossratios[last]):
-                orbits = split_orbits(inst, last, pairing)
+                orbits = orbit_rows(inst, last, pairing)
                 splits = enumerate_splits(inst, last, pairing)
-                assert sum(m for _, m in orbits) == len(splits)
+                assert sum(orbit.weight for orbit in orbits) == len(splits)
                 members = defaultdict(list)
                 for split in splits:
                     members[_side1_counts(inst, last, split)].append(split)
                 assert len(members) == len(orbits)
-                for rep, m in orbits:
+                for orbit in orbits:
+                    rep = orbit.split()
                     expanded = members[_side1_counts(inst, last, rep)]
                     assert rep in expanded
-                    assert len(set(expanded)) == len(expanded) == m
+                    assert len(set(expanded)) == len(expanded) == orbit.weight
                     keys = _sub_keys(inst, rep)
                     assert all(_sub_keys(inst, split) == keys for split in expanded)
                 cases += 1
