@@ -43,9 +43,9 @@ from .splits import (
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
     Orbit,
-    Split,
     build_subinstances,
-    enumerate_splits,
+    enumerate_splits,  # not called here; perfbench/tracing.py wraps it by this name
+    orbit_members,
     orbit_rows,
 )
 
@@ -204,12 +204,13 @@ def resolution_choices(inst: Instance) -> Iterator[Choice]:
             yield last, pairing, tuple(p for p in (pairing.first, pairing.second) if p in pairs)
 
 
-def _isolates(inst: Instance, split: Split, line_pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the split puts one of the line pairs alone on a fixed degree-zero side."""
-    side = split.side1 if split.kind == TWO_ZERO_SIDE1_FIXED else split.side2
-    if split.kind == ONE_ONE or side.degree:
+def _isolates(orbit: Orbit, line_pairs: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the orbit leaves a pair of ``line_pairs`` alone on a fixed degree-zero side."""
+    i = 0 if orbit.kind == TWO_ZERO_SIDE1_FIXED else 1
+    pinned = (orbit.pairing.first, orbit.pairing.second)[i]
+    if orbit.kind == ONE_ONE or orbit.degrees[i] or pinned not in line_pairs:
         return False
-    return tuple(x for x in sorted(side.labels) if inst.condition(x).kind == LINE) in line_pairs
+    return sum(n for (rank, _, _), n in orbit.rows[i].items() if rank == KIND_RANK[LINE]) == 2
 
 
 class Engine:
@@ -230,7 +231,7 @@ class Engine:
             raise ValueError("max_nodes must be positive")
         self.max_nodes = max_nodes
         self._memo: dict[bytes, Count] = {}
-        self._exact: dict[tuple, Count] = {}
+        self._exact: dict[tuple, bytes] = {}
         self._nodes = 0
         self._terms = 0
 
@@ -251,7 +252,7 @@ class Engine:
         """
         seen = set(self._memo)
         self.evaluate(inst)
-        yield from self._walk(inst, seen, "", "")
+        yield from self._walk(inst, canonical_key(inst), seen, "", "")
 
     def _eval(self, inst: Instance, choice: Choice | None = None) -> Count:
         key = canonical_key(inst) if choice is None else None
@@ -282,17 +283,15 @@ class Engine:
         return value
 
     def _walk(
-        self, inst: Instance, seen: set[bytes], head: str, pad: str
+        self, inst: Instance, key: bytes, seen: set[bytes], head: str, pad: str
     ) -> Generator[str, None, Count]:
-        """Yield one instance's trace lines, the first after ``head``, and return its value.
+        """Yield the trace of ``inst``, of class ``key``, after ``head``; return its value.
 
-        A labelling can resolve differently from the class's evaluated
-        representative and so reach a class the memo lacks; that class
-        is evaluated here.
+        Splits come from :func:`orbit_members`, side classes from :meth:`_side`,
+        which also evaluates any the memo lacks, from the orbit's first member.
         """
         yield head + _describe(inst, f"d={inst.degree}", inst.labels, range(len(inst.crossratios)))
-        key = canonical_key(inst)
-        value = self._memo[key] if key in self._memo else self._node(inst, key)
+        value = self._memo[key]
         rules = (("memo", key in seen), ("base", not inst.crossratios), ("star", inst.degree == 0))
         rule = next((name for name, hit in rules if hit), None)
         choice = None if rule else next(resolution_choices(inst), None)
@@ -303,16 +302,17 @@ class Engine:
         last, pairing, line_pairs = choice
         (a, b), (c, d) = pairing.first, pairing.second
         yield f"{pad}  resolve cr ({a} {b} | {c} {d})"
-        for split in enumerate_splits(inst, last, pairing):
-            if line_pairs is None or _isolates(inst, split, line_pairs):
+        nest = [(f"{pad}    side {i}: ", pad + "    ") for i in (1, 2)]  # each side's head and pad
+        for split, orbit in orbit_members(inst, last, pairing):
+            if line_pairs is None or _isolates(orbit, line_pairs):
                 s1, s2 = (
                     _describe(inst, f"d={side.degree}:", side.labels, side.crossratios)
                     for side in (split.side1, split.side2)
                 )
                 yield f"{pad}  split [{split.kind}] ({s1} | {s2})"
-                pair = build_subinstances(inst, split)
-                left = yield from self._walk(pair.side1, seen, f"{pad}    side 1: ", pad + "    ")
-                right = yield from self._walk(pair.side2, seen, f"{pad}    side 2: ", pad + "    ")
+                sub = build_subinstances(inst, split)
+                left = yield from self._walk(sub.side1, self._side(inst, orbit, 0), seen, *nest[0])
+                right = yield from self._walk(sub.side2, self._side(inst, orbit, 1), seen, *nest[1])
                 yield f"{pad}  term {left} * {right} = {left * right}"
         yield f"{pad}  = {value}"
         return value
@@ -321,28 +321,27 @@ class Engine:
         last, pairing, line_pairs = choice
         value = 0
         for orbit in orbit_rows(inst, last, pairing):
-            if line_pairs is None or _isolates(inst, orbit.split(), line_pairs):
-                value += orbit.weight * self._side(inst, orbit, 0) * self._side(inst, orbit, 1)
+            if line_pairs is None or _isolates(orbit, line_pairs):
+                key1, key2 = self._side(inst, orbit, 0), self._side(inst, orbit, 1)
+                value += orbit.weight * self._memo[key1] * self._memo[key2]
                 self._terms += 1
         return value
 
-    def _side(self, inst: Instance, orbit: Orbit, i: int) -> Count:
-        """Value of side ``i`` (0 or 1) of an orbit: from a memo, in place, or built on a miss."""
+    def _side(self, inst: Instance, orbit: Orbit, i: int) -> bytes:
+        """Class key of side ``i`` (0 or 1) of an orbit, valued into the memo on a miss."""
         degree, rows = orbit.degrees[i], orbit.rows[i]
         exact = degree, frozenset(rows.items())
         if exact in self._exact:
             return self._exact[exact]
         key = rows_key(degree, rows)
-        if key in self._memo:
-            value = self._memo[key]
-        elif not orbit.crossratios[i]:
-            self._count_node()
-            value = self._memo[key] = base_from_rows(degree, rows)
-        else:
+        if key not in self._memo and orbit.crossratios[i]:
             pair = build_subinstances(inst, orbit.split())
-            value = self._node((pair.side1, pair.side2)[i], key)
-        self._exact[exact] = value
-        return value
+            self._node((pair.side1, pair.side2)[i], key)
+        elif key not in self._memo:
+            self._count_node()
+            self._memo[key] = base_from_rows(degree, rows)
+        self._exact[exact] = key
+        return key
 
 
 def _check(inst: Instance) -> None:

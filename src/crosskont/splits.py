@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .conditions import (
     FREE,
@@ -32,7 +32,6 @@ from .conditions import (
     Pairing,
     Row,
     condition_row,
-    deficiency,
 )
 
 ONE_ONE = "1/1"
@@ -81,10 +80,6 @@ class SplitSide:
     degree: int
     labels: frozenset[Label]
     crossratios: frozenset[int]
-
-    def deficiency(self, inst: Instance) -> int:
-        kinds = [inst.condition(x).kind for x in self.labels]
-        return deficiency(self.degree, kinds, len(self.crossratios))
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,21 +219,30 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
     return orbits
 
 
-def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
-    """Every contributing split, each of :func:`orbit_rows` expanded.
+def orbit_members(inst: Instance, last: int, pairing: Pairing) -> Iterator[tuple[Split, Orbit]]:
+    """Each contributing split with its :class:`Orbit`, expanded one group of orbits at a time.
 
     Sorted by side 1's degree, then by the labels it takes beside the
-    pinned pair, fewest first, then in combination order.
+    pinned pair, fewest first, then in combination order; an orbit's
+    first member is its :meth:`Orbit.split`.
     """
-    splits = []
-    for orbit in orbit_rows(inst, last, pairing):
-        for chosen in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts)):
-            labels1 = frozenset(pairing.first).union(*chosen)
-            labels = labels1, frozenset(inst.labels) - labels1
-            sides = map(SplitSide, orbit.degrees, labels, orbit.crossratios)
-            splits.append(Split(*sides, orbit.kind))
-    moved = lambda split: sorted(split.side1.labels - set(pairing.first))
-    return sorted(splits, key=lambda split: (split.side1.degree, len(moved(split)), moved(split)))
+    group = lambda orbit: (orbit.degrees[0], sum(orbit.counts))
+    everyone = frozenset(inst.labels)
+    for _, orbits in itertools.groupby(sorted(orbit_rows(inst, last, pairing), key=group), group):
+        members = [
+            (sorted(itertools.chain(*picks)), orbit)
+            for orbit in orbits
+            for picks in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts))
+        ]
+        for moved, orbit in sorted(members, key=lambda member: member[0]):
+            labels1 = frozenset(pairing.first).union(moved)
+            sides = map(SplitSide, orbit.degrees, (labels1, everyone - labels1), orbit.crossratios)
+            yield Split(*sides, orbit.kind), orbit
+
+
+def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
+    """Every contributing split, in the order of :func:`orbit_members`."""
+    return [split for split, _ in orbit_members(inst, last, pairing)]
 
 
 def build_subinstances(inst: Instance, split: Split) -> SubInstancePair:

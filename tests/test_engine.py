@@ -8,6 +8,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,15 +24,22 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
-from crosskont.conditions import all_pairings, canonical_key, label_rows, rows_key
+from crosskont.conditions import LINE, all_pairings, canonical_key, label_rows, rows_key
 from crosskont.engine import (
     Engine,
+    _isolates,
     base_degree_zero,
     base_from_rows,
     base_no_crossratios,
     resolution_choices,
 )
-from crosskont.splits import build_subinstances, orbit_rows
+from crosskont.splits import (
+    ONE_ONE,
+    TWO_ZERO_SIDE1_FIXED,
+    build_subinstances,
+    orbit_members,
+    orbit_rows,
+)
 
 from corpus import (
     CORPUS,
@@ -239,6 +247,69 @@ def test_trace_marks_memoized_hits():
     engine.evaluate(WORKED23)
     lines = list(engine.trace(WORKED23))
     assert lines[1:] == ["  = 6 (memo)"]
+
+
+def test_trace_keys_only_the_root(monkeypatch):
+    # Sides are keyed through Engine._side from their rows, so the number
+    # of canonical_key calls does not grow with the trace (98,307 lines at d = 6).
+    calls = []
+
+    def counting_key(inst):
+        calls.append(inst)
+        return canonical_key(inst)
+
+    monkeypatch.setattr("crosskont.engine.canonical_key", counting_key)
+    made = []
+    for degree in (3, 6):
+        calls.clear()
+        assert sum(1 for _ in Engine().trace(one_cross_ratio_family(degree))) > 100
+        made.append(len(calls))
+    assert made[0] == made[1]
+
+
+def test_trace_streams_its_first_lines_in_little_memory():
+    # The orbits are expanded a group at a time; listing the root's splits
+    # at d = 6 before walking them peaked at 30.7 MB.
+    inst = one_cross_ratio_family(6)
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(Engine().trace(inst), 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 20
+    assert peak < 1 << 20
+
+
+def _isolates_by_labels(inst, split, line_pairs) -> bool:
+    """The rule on labels: the fixed degree-zero side's sorted line labels are one of the pairs."""
+    side = split.side1 if split.kind == TWO_ZERO_SIDE1_FIXED else split.side2
+    if split.kind == ONE_ONE or side.degree:
+        return False
+    return tuple(x for x in sorted(side.labels) if inst.condition(x).kind == LINE) in line_pairs
+
+
+def _check_isolates(inst) -> int:
+    """Compare both rules on every split of every no-point resolution of ``inst`` and below."""
+    checked = 0
+    for node in [inst, *(node for node, _ in split_nodes(inst))]:
+        for last, pairing, line_pairs in resolution_choices(node):
+            if line_pairs is not None:
+                for split, orbit in orbit_members(node, last, pairing):
+                    by_labels = _isolates_by_labels(node, split, line_pairs)
+                    assert _isolates(orbit, line_pairs) == by_labels
+                    checked += 1
+    return checked
+
+
+def test_isolation_by_counts_matches_the_label_rule():
+    classes = [_weight_one_classes(*shape) for shape in [(1, 0, 6, 2), (1, 0, 7, 2), (2, 2, 5, 3)]]
+    crossratios = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
+    lines = dict.fromkeys(range(1, 6), 1)
+    free_end = Instance.build(1, lines=lines, free=[6], crossratios=crossratios)
+    checked = [sum(map(_check_isolates, instances)) for instances in (CORPUS, *classes, [free_end])]
+    # the d = 2 classes keep a point on every node the engine resolves
+    assert [bool(n) for n in checked] == [True, True, True, False, True]
 
 
 def _perfbench_oracles():

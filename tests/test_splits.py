@@ -19,13 +19,14 @@ from crosskont import (
     enumerate_splits,
     validate,
 )
-from crosskont.conditions import all_pairings, label_rows
+from crosskont.conditions import all_pairings, deficiency, label_rows
 from crosskont.splits import (
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
     TWO_ZERO_SIDE2_FIXED,
     Split,
     SplitSide,
+    orbit_members,
     orbit_rows,
     route_groups,
 )
@@ -44,6 +45,12 @@ WORKED = Instance.build(
 )
 
 CONTRIBUTING = {(1, 1): ONE_ONE, (0, 2): TWO_ZERO_SIDE1_FIXED, (2, 0): TWO_ZERO_SIDE2_FIXED}
+
+
+def deficiencies(inst: Instance, *sides: SplitSide) -> tuple[int, ...]:
+    """Each side's deficiency, read off its labels' conditions in ``inst``."""
+    kinds = lambda side: [inst.condition(x).kind for x in side.labels]
+    return tuple(deficiency(side.degree, kinds(side), len(side.crossratios)) for side in sides)
 
 
 def brute_splits(inst: Instance, last: int, pairing: Pairing) -> set[Split]:
@@ -68,7 +75,7 @@ def brute_splits(inst: Instance, last: int, pairing: Pairing) -> set[Split]:
                 crs1, crs2 = assignment
                 s1 = SplitSide(d1, frozenset(side1), frozenset(crs1))
                 s2 = SplitSide(inst.degree - d1, frozenset(side2), frozenset(crs2))
-                kind = CONTRIBUTING.get((s1.deficiency(inst), s2.deficiency(inst)))
+                kind = CONTRIBUTING.get(deficiencies(inst, s1, s2))
                 if kind is not None:
                     found.add(Split(s1, s2, kind))
     return found
@@ -278,8 +285,7 @@ def test_split_sides_partition_the_labels(data):
         assert set(pairing.first) <= split.side1.labels
         assert set(pairing.second) <= split.side2.labels
         assert split.side1.degree + split.side2.degree == inst.degree
-        deficiencies = (split.side1.deficiency(inst), split.side2.deficiency(inst))
-        assert CONTRIBUTING[deficiencies] == split.kind
+        assert CONTRIBUTING[deficiencies(inst, split.side1, split.side2)] == split.kind
 
 
 def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
@@ -312,7 +318,7 @@ def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
         for d1 in range(inst.degree + 1):
             degrees = (d1, inst.degree - d1)
             sides = [SplitSide(*args) for args in zip(degrees, (labels1, labels2), crs)]
-            kind = CONTRIBUTING.get((sides[0].deficiency(inst), sides[1].deficiency(inst)))
+            kind = CONTRIBUTING.get(deficiencies(inst, *sides))
             if kind is not None:
                 pair = build_subinstances(inst, Split(*sides, kind))
                 rows = (label_rows(pair.side1), label_rows(pair.side2))
@@ -361,5 +367,63 @@ def test_orbit_kernel_matches_the_product_loop_on_the_golden_split_nodes(shape):
         if choice is not None:
             last, pairing, _ = choice
             _check_kernel(node, last, pairing)
+            checked += 1
+    assert checked
+
+
+def product_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:
+    """Reference list: every orbit expanded by the product of its block combinations, then sorted.
+
+    One global sort over all orbits, by side 1's degree, the number of
+    labels it takes beside the pinned pair, and those labels.
+    """
+    splits = []
+    for orbit in orbit_rows(inst, last, pairing):
+        for chosen in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts)):
+            labels1 = frozenset(pairing.first).union(*chosen)
+            labels = labels1, frozenset(inst.labels) - labels1
+            sides = map(SplitSide, orbit.degrees, labels, orbit.crossratios)
+            splits.append(Split(*sides, orbit.kind))
+    moved = lambda split: sorted(split.side1.labels - set(pairing.first))
+    return sorted(splits, key=lambda split: (split.side1.degree, len(m := moved(split)), m))
+
+
+def _check_members(inst: Instance, last: int, pairing: Pairing) -> int:
+    """Compare the lazy expansion with :func:`product_splits`, order included; return its length."""
+    expected = product_splits(inst, last, pairing)
+    n = 0
+    for n, (split, orbit) in enumerate(orbit_members(inst, last, pairing), 1):
+        assert split == expected[n - 1]
+        assert tuple(len(split.side1.labels.intersection(b)) for b in orbit.blocks) == orbit.counts
+    assert n == len(expected)
+    return n
+
+
+def test_orbit_members_keep_the_product_order_on_the_corpus():
+    cases = splits = 0
+    for inst in CORPUS:
+        for last in range(len(inst.crossratios)):
+            for pairing in all_pairings(inst.crossratios[last]):
+                splits += _check_members(inst, last, pairing)
+                assert enumerate_splits(inst, last, pairing) == product_splits(inst, last, pairing)
+                cases += 1
+    assert cases == 183 and splits > cases
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_orbit_members_keep_the_product_order_on_the_family(degree):
+    # at d = 7 (2^17 splits a pairing, 5 s each) only the pairing the engine resolves
+    inst = one_cross_ratio_family(degree, 2, 3)
+    pairings = all_pairings(inst.crossratios[0])[: 1 if degree == 7 else 3]
+    assert all(_check_members(inst, 0, pairing) for pairing in pairings)
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_orbit_members_keep_the_product_order_on_the_golden_split_nodes(shape):
+    checked = 0
+    for node, choice in split_nodes(golden_instance(shape)):
+        if choice is not None:
+            last, pairing, _ = choice
+            _check_members(node, last, pairing)
             checked += 1
     assert checked
