@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Generator, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 
 from .conditions import (
     FREE,
@@ -108,14 +108,13 @@ def _star_scale(points: int, line_weights: Sequence[int], free: int, crossratios
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
-    """Count for a valid instance without cross-ratios, from its row counts.
+    """Count for a valid class without cross-ratios or of degree zero, from its row counts.
 
     For positive degree the points pin down ``kontsevich(d)`` curves,
     each multi line contributes its weight times d intersection points,
     and any free end makes the count vanish (the points are then in
-    excess).  A degree-zero map contracts to a single vertex, which
-    counts 1 in the rigid shapes of :func:`base_degree_zero`, times the
-    line weights, and 0 otherwise.
+    excess).  A degree-zero map is a star, one vertex with one slot per
+    label: :func:`_star_scale` times its cross-ratio multiplicity.
     """
     points = free = 0
     weights = []
@@ -127,7 +126,13 @@ def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
         else:
             weights += [weight] * n
     if degree == 0:
-        return _star_scale(points, weights, free, 0)
+        slots = [vec for (_, _, vec), n in rows.items() for _ in range(n)]  # one per label
+        width = len(slots[0])
+        scale = _star_scale(points, weights, free, width)
+        if not scale or not width:
+            return scale
+        crossratios = [[s for s, vec in enumerate(slots) if vec[j]] for j in range(width)]
+        return scale * cross_ratio_multiplicity(VertexProfile.of(range(len(slots)), crossratios))
     if free:
         return 0
     return kontsevich(degree) * math.prod(weight * degree for weight in weights)
@@ -139,18 +144,8 @@ def base_no_crossratios(inst: Instance) -> Count:
 
 
 def base_degree_zero(inst: Instance) -> Count:
-    """Count for a valid degree-zero instance with l >= 0 cross-ratios.
-
-    Such curves are stars: one vertex carrying every contracted end.
-    A rigid star (see :func:`_star_scale`) counts its cross-ratio
-    multiplicity (one for l = 0), weighted by the product of the line
-    weights when it sits on two multi lines.
-    """
-    weights = [inst.condition(label).weight for label in inst.lines]
-    scale = _star_scale(len(inst.points), weights, len(inst.free), len(inst.crossratios))
-    if not scale:
-        return 0
-    return scale * cross_ratio_multiplicity(VertexProfile.of(inst.labels, inst.crossratios))
+    """Count for a valid degree-zero instance, a star: :func:`base_from_rows` of its rows."""
+    return base_from_rows(inst.degree, label_rows(inst))
 
 
 def admissible_line_pair(inst: Instance, last: int, a: int, b: int) -> bool:
@@ -217,13 +212,13 @@ class Engine:
     """Memoized single-threaded evaluator for counting instances.
 
     The memo is keyed on :func:`canonical_key`, so relabelled repeats
-    of the same sub-instance are computed once.  A split node resolves
-    the first of :func:`resolution_choices` and sums over its split
-    orbits (:func:`orbit_rows`, from block counts).  A side is looked up
-    by its degree and exact rows, which fix it up to relabelling, and
-    only rows met first pay for :func:`rows_key`, the built side's key;
-    without cross-ratios it is valued in place, else built on a memo
-    miss.  ``max_nodes`` counts distinct classes, not row sets.
+    of the same sub-instance are computed once.  :meth:`_node` values
+    every class: by :func:`base_from_rows` if it needs no split, else it
+    builds an instance, resolves the first of :func:`resolution_choices`
+    and sums over its split orbits (:func:`orbit_rows`, from block
+    counts).  A side is looked up by its degree and exact rows, which
+    fix it up to relabelling; only rows met first pay for
+    :func:`rows_key`.  ``max_nodes`` counts distinct classes.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -235,14 +230,12 @@ class Engine:
         self._nodes = 0
         self._terms = 0
 
-    def evaluate(self, inst: Instance, choice: Choice | None = None) -> Count:
-        """Count the curves of ``inst``.
-
-        ``choice``, one of :func:`resolution_choices`, overrides the
-        resolution at the root, whose value then bypasses the memo.
-        """
-        _check(inst)  # sub-instances of a valid instance are valid by construction
-        return self._eval(inst, choice)
+    def evaluate(self, inst: Instance) -> Count:
+        """Count the curves of ``inst``."""
+        check = validate(inst)  # sub-instances of a valid instance are valid by construction
+        if not check:
+            raise ValidationError(check.reason)
+        return self._eval(inst)
 
     def trace(self, inst: Instance) -> Iterator[str]:
         """Count ``inst``, then yield its trace over label-level splits line by line.
@@ -254,32 +247,32 @@ class Engine:
         self.evaluate(inst)
         yield from self._walk(inst, canonical_key(inst), seen, "", "")
 
-    def _eval(self, inst: Instance, choice: Choice | None = None) -> Count:
-        key = canonical_key(inst) if choice is None else None
-        if key is not None and key in self._memo:
+    def _eval(self, inst: Instance) -> Count:
+        key = canonical_key(inst)
+        if key in self._memo:
             return self._memo[key]
-        return self._node(inst, key, choice)
+        return self._node(key, inst.degree, label_rows(inst), lambda: inst)
 
-    def _count_node(self) -> None:
+    def _node(
+        self, key: bytes, degree: int, rows: Mapping[Row, int], build: Callable[[], Instance]
+    ) -> Count:
+        """Value the class ``key`` of ``degree`` and ``rows`` into the memo.
+
+        ``build()`` makes an instance of the class; it is called only for
+        a class that splits, with cross-ratios and positive degree.
+        """
         self._nodes += 1
         if self._nodes > self.max_nodes:
             raise ResourceLimitError(
                 f"more than {self.max_nodes} recursion nodes after {self._terms} split terms"
             )
-
-    def _node(self, inst: Instance, key: bytes | None, choice: Choice | None = None) -> Count:
-        """Evaluate an instance the memo lacks and store it under ``key``."""
-        self._count_node()
-        if not inst.crossratios:
-            value = base_no_crossratios(inst)
-        elif inst.degree == 0:
-            value = base_degree_zero(inst)
+        if degree == 0 or not next(iter(rows))[2]:  # membership vectors span the cross-ratios
+            value = base_from_rows(degree, rows)
         else:
-            if choice is None:
-                choice = next(resolution_choices(inst), None)
+            inst = build()
+            choice = next(resolution_choices(inst), None)
             value = 0 if choice is None else self._orbit_sum(inst, choice)
-        if key is not None:
-            self._memo[key] = value
+        self._memo[key] = value
         return value
 
     def _walk(
@@ -334,20 +327,11 @@ class Engine:
         if exact in self._exact:
             return self._exact[exact]
         key = rows_key(degree, rows)
-        if key not in self._memo and orbit.crossratios[i]:
-            pair = build_subinstances(inst, orbit.split())
-            self._node((pair.side1, pair.side2)[i], key)
-        elif key not in self._memo:
-            self._count_node()
-            self._memo[key] = base_from_rows(degree, rows)
+        if key not in self._memo:
+            build = lambda: getattr(build_subinstances(inst, orbit.split()), f"side{i + 1}")
+            self._node(key, degree, rows, build)
         self._exact[exact] = key
         return key
-
-
-def _check(inst: Instance) -> None:
-    check = validate(inst)
-    if not check:
-        raise ValidationError(check.reason)
 
 
 def _describe(inst: Instance, head: str, labels, crossratios) -> str:
@@ -411,6 +395,7 @@ def evaluate_invariance_battery(
     variants: list[BatteryVariant] = []
     if inst.crossratios and inst.degree > 0:
         for choice in resolution_choices(inst):
-            got = Engine(max_nodes=max_nodes).evaluate(inst, choice)
-            variants.append(BatteryVariant(choice[0], choice[1], got))
+            engine = Engine(max_nodes=max_nodes)
+            engine._nodes = 1  # the root, valued under ``choice`` outside the memo
+            variants.append(BatteryVariant(choice[0], choice[1], engine._orbit_sum(inst, choice)))
     return BatteryReport(inst, value, tuple(variants))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .conditions import (
     FREE,
@@ -122,11 +122,12 @@ class Orbit(NamedTuple):
     blocks: list[list[Label]]
     pairing: Pairing
 
-    def split(self) -> Split:
-        """The representative: side 1 takes the first ``counts`` labels of each block."""
-        pairs = list(zip(self.blocks, self.counts))
-        labels1 = frozenset(self.pairing.first).union(*(block[:k] for block, k in pairs))
-        labels2 = frozenset(self.pairing.second).union(*(block[k:] for block, k in pairs))
+    def split(self, moved: Iterable[Label] | None = None) -> Split:
+        """The member with ``moved`` on side 1 (default: the first ``counts`` of each block)."""
+        if moved is None:
+            moved = itertools.chain(*(block[:k] for block, k in zip(self.blocks, self.counts)))
+        labels1 = frozenset(self.pairing.first).union(moved)
+        labels2 = frozenset(self.pairing.second).union(*self.blocks) - labels1
         sides = map(SplitSide, self.degrees, (labels1, labels2), self.crossratios)
         return Split(*sides, self.kind)
 
@@ -227,7 +228,6 @@ def orbit_members(inst: Instance, last: int, pairing: Pairing) -> Iterator[tuple
     first member is its :meth:`Orbit.split`.
     """
     group = lambda orbit: (orbit.degrees[0], sum(orbit.counts))
-    everyone = frozenset(inst.labels)
     for _, orbits in itertools.groupby(sorted(orbit_rows(inst, last, pairing), key=group), group):
         members = [
             (sorted(itertools.chain(*picks)), orbit)
@@ -235,9 +235,7 @@ def orbit_members(inst: Instance, last: int, pairing: Pairing) -> Iterator[tuple
             for picks in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts))
         ]
         for moved, orbit in sorted(members, key=lambda member: member[0]):
-            labels1 = frozenset(pairing.first).union(moved)
-            sides = map(SplitSide, orbit.degrees, (labels1, everyone - labels1), orbit.crossratios)
-            yield Split(*sides, orbit.kind), orbit
+            yield orbit.split(moved), orbit
 
 
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:

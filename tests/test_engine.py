@@ -28,11 +28,13 @@ from crosskont.conditions import LINE, all_pairings, canonical_key, label_rows, 
 from crosskont.engine import (
     Engine,
     _isolates,
+    _star_scale,
     base_degree_zero,
     base_from_rows,
     base_no_crossratios,
     resolution_choices,
 )
+from crosskont.resolution import VertexProfile, cross_ratio_multiplicity
 from crosskont.splits import (
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
@@ -105,23 +107,62 @@ def test_free_ends_without_cross_ratios_leave_nothing_rigid():
     assert evaluate(Instance.build(2, points=[1, 2, 3, 4, 5, 6], free=[7])) == 0
 
 
+THREE_CROSSRATIOS = [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]]
+
+RIGID_STARS = [
+    (Instance.build(0, lines={1: 2, 2: 3}, free=[3]), 6),
+    (Instance.build(0, points=[1], free=[2, 3]), 1),
+    (Instance.build(0, lines={1: 2, 2: 3}, free=[3, 4], crossratios=[[1, 2, 3, 4]]), 6),
+    (Instance.build(0, points=[1], free=[2, 3, 4], crossratios=[[1, 2, 3, 4]]), 1),
+    # three cross-ratios with cross_ratio_multiplicity 2
+    (Instance.build(0, lines={1: 2, 2: 3}, free=[3, 4, 5, 6], crossratios=THREE_CROSSRATIOS), 12),
+    (Instance.build(0, points=[1], free=[2, 3, 4, 5, 6], crossratios=THREE_CROSSRATIOS), 2),
+]
+
+LOOSE_STARS = [
+    Instance.build(0, points=[1], lines={2: 2}, free=[3, 4]),
+    Instance.build(0, points=[1, 2], free=[3, 4, 5]),
+    Instance.build(0, lines={1: 3}, free=[2]),
+    Instance.build(0, lines={1: 1, 2: 1, 3: 1}, free=[4]),
+]
+
+
 def test_degree_zero_rigid_stars():
-    assert evaluate(Instance.build(0, lines={1: 2, 2: 3}, free=[3])) == 6
-    assert evaluate(Instance.build(0, points=[1], free=[2, 3])) == 1
-    assert (
-        evaluate(Instance.build(0, lines={1: 2, 2: 3}, free=[3, 4], crossratios=[[1, 2, 3, 4]]))
-        == 6
-    )
-    assert (
-        evaluate(Instance.build(0, points=[1], free=[2, 3, 4], crossratios=[[1, 2, 3, 4]])) == 1
-    )
+    for inst, count in RIGID_STARS:
+        assert evaluate(inst) == count
 
 
 def test_degree_zero_loose_shapes_count_zero():
-    assert evaluate(Instance.build(0, points=[1], lines={2: 2}, free=[3, 4])) == 0
-    assert evaluate(Instance.build(0, points=[1, 2], free=[3, 4, 5])) == 0
-    assert evaluate(Instance.build(0, lines={1: 3}, free=[2])) == 0
-    assert evaluate(Instance.build(0, lines={1: 1, 2: 1, 3: 1}, free=[4])) == 0
+    for inst in LOOSE_STARS:
+        assert evaluate(inst) == 0
+
+
+def _star_by_labels(inst: Instance) -> int:
+    """The label-level star rule that :func:`base_from_rows` took over, kept as a reference."""
+    weights = [inst.condition(label).weight for label in inst.lines]
+    scale = _star_scale(len(inst.points), weights, len(inst.free), len(inst.crossratios))
+    if not scale:
+        return 0
+    return scale * cross_ratio_multiplicity(VertexProfile.of(inst.labels, inst.crossratios))
+
+
+def _degree_zero_sides(inst: Instance):
+    """Each degree-zero side that :func:`split_nodes` builds below ``inst``."""
+    for node, choice in split_nodes(inst):
+        if choice is not None:
+            last, pairing, _ = choice
+            for orbit in orbit_rows(node, last, pairing):
+                pair = build_subinstances(node, orbit.split())
+                yield from (sub for sub in (pair.side1, pair.side2) if sub.degree == 0)
+
+
+def test_stars_from_rows_match_the_label_rule():
+    roots = [*CORPUS, *map(golden_instance, golden_eval_multi_shapes())]
+    sides = [sub for inst in roots for sub in _degree_zero_sides(inst)]
+    stars = [sub for sub in sides if sub.crossratios]
+    assert len(stars) > 50 and max(map(_star_by_labels, stars)) > 1
+    for sub in [*sides, *(inst for inst, _ in RIGID_STARS), *LOOSE_STARS]:
+        assert base_from_rows(0, label_rows(sub)) == _star_by_labels(sub)
 
 
 def test_base_functions_agree_without_cross_ratios():
@@ -208,9 +249,35 @@ def test_lines_with_two_cross_ratios_count_as_classically(crossratios, count):
     assert evaluate_invariance_battery(inst).ok
 
 
+@pytest.mark.parametrize(
+    "lines, crossratio, count", [((2, 3, 4), [1, 2, 3, 4], 1), ((2, 3, 4, 5), [2, 3, 4, 5], 2)]
+)
+def test_lines_through_a_point_count_as_classically(lines, crossratio, count):
+    # Through the point P = 1: with P in the cross-ratio, inverting the
+    # distance from P along each line of the pencil makes the cross-ratio a
+    # ratio of two linear forms in the pencil's parameter, a degree-1 map, so
+    # one line takes the fixed value. Without P, the lines meeting L2..L5 in
+    # a fixed cross-ratio are the tangents of a conic, two of them through P.
+    inst = Instance.build(1, points=[1], lines=dict.fromkeys(lines, 1), crossratios=[crossratio])
+    assert evaluate(inst) == count
+    assert evaluate_invariance_battery(inst).ok
+
+
 def test_resource_budget_is_enforced():
     with pytest.raises(ResourceLimitError):
         evaluate(WORKED, max_nodes=1)
+
+
+def test_battery_budget_counts_each_variant_root_once():
+    # WORKED23: the default evaluation and each of the six root variants take
+    # 5 nodes. Below, the default takes 4 and two variants 5, roots included.
+    crossratios = [[1, 2, 3, 4], [1, 2, 4, 5]]
+    variant_bound = Instance.build(2, points=[2, 3, 5], lines={1: 3, 4: 3}, crossratios=crossratios)
+    assert evaluate(variant_bound, max_nodes=4) == 9
+    for inst in (WORKED23, variant_bound):
+        assert evaluate_invariance_battery(inst, max_nodes=5).ok
+        with pytest.raises(ResourceLimitError):
+            evaluate_invariance_battery(inst, max_nodes=4)
 
 
 def test_ill_posed_instances_are_rejected():
