@@ -92,50 +92,57 @@ def kontsevich(d: int) -> Count:
     return total
 
 
-def _star_scale(points: int, line_weights: Sequence[int], free: int, crossratios: int) -> int:
-    """Weight factor of a degree-zero star, 0 unless it is rigid.
+def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> bool:
+    """Whether the base rule values a class 0 from its counts alone.
 
-    The vertex is rigid in exactly two shapes: pinned to the
-    intersection of two multi lines with l + 1 free ends, scaled by the
-    product of the line weights, or to one point with l + 2 free ends.
-    Any other shape leaves the vertex loose or over-determined.
+    ``kinds`` counts its points, multi lines and free ends, indexed by
+    :data:`KIND_RANK`, and ``crossratios`` its cross-ratios.  Of
+    positive degree, a class with a free end and no cross-ratio counts
+    0: its points are in excess.  Of degree zero, a star counts 0 unless
+    it is rigid: pinned to the intersection of two multi lines with
+    l + 1 free ends, or to one point with l + 2 free ends, for l
+    cross-ratios.  Any other shape leaves the vertex loose or
+    over-determined.
     """
-    if not points and len(line_weights) == 2 and free == crossratios + 1:
-        return line_weights[0] * line_weights[1]
-    if points == 1 and not line_weights and free == crossratios + 2:
-        return 1
-    return 0
+    if degree:
+        return kinds[KIND_RANK[FREE]] > 0 and not crossratios
+    return kinds not in ((0, 2, crossratios + 1), (1, 0, crossratios + 2))
+
+
+def _star_scale(points: int, line_weights: Sequence[int], free: int, crossratios: int) -> int:
+    """Weight factor of a degree-zero star: its line weights' product if it is rigid, else 0."""
+    if _vanishes(0, (points, len(line_weights), free), crossratios):
+        return 0
+    return math.prod(line_weights)
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
     """Count for a valid class without cross-ratios or of degree zero, from its row counts.
 
-    For positive degree the points pin down ``kontsevich(d)`` curves,
-    each multi line contributes its weight times d intersection points,
-    and any free end makes the count vanish (the points are then in
-    excess).  A degree-zero map is a star, one vertex with one slot per
-    label: :func:`_star_scale` times its cross-ratio multiplicity.
+    It is 0 where :func:`_vanishes` says so.  Otherwise, for positive
+    degree the points pin down ``kontsevich(d)`` curves and each multi
+    line contributes its weight times d intersection points.  A
+    degree-zero map is a star, one vertex with one slot per label:
+    :func:`_star_scale` times its cross-ratio multiplicity.
     """
-    points = free = 0
+    kinds = [0, 0, 0]
     weights = []
     for (rank, weight, _), n in rows.items():
-        if rank == KIND_RANK[POINT]:
-            points += n
-        elif rank == KIND_RANK[FREE]:
-            free += n
-        else:
+        kinds[rank] += n
+        if rank == KIND_RANK[LINE]:
             weights += [weight] * n
-    if degree == 0:
-        slots = [vec for (_, _, vec), n in rows.items() for _ in range(n)]  # one per label
-        width = len(slots[0])
-        scale = _star_scale(points, weights, free, width)
-        if not scale or not width:
-            return scale
-        crossratios = [[s for s, vec in enumerate(slots) if vec[j]] for j in range(width)]
-        return scale * cross_ratio_multiplicity(VertexProfile.of(range(len(slots)), crossratios))
-    if free:
-        return 0
-    return kontsevich(degree) * math.prod(weight * degree for weight in weights)
+    width = len(next(iter(rows))[2])  # membership vectors span the cross-ratios
+    if degree:
+        if _vanishes(degree, tuple(kinds), width):
+            return 0
+        return kontsevich(degree) * math.prod(weight * degree for weight in weights)
+    points, _, free = kinds
+    scale = _star_scale(points, weights, free, width)
+    if not scale or not width:
+        return scale
+    slots = [vec for (_, _, vec), n in rows.items() for _ in range(n)]  # one per label
+    crossratios = [[s for s, vec in enumerate(slots) if vec[j]] for j in range(width)]
+    return scale * cross_ratio_multiplicity(VertexProfile.of(range(len(slots)), crossratios))
 
 
 def base_no_crossratios(inst: Instance) -> Count:
@@ -205,7 +212,14 @@ def _isolates(orbit: Orbit, line_pairs: tuple[tuple[int, int], ...]) -> bool:
     pinned = (orbit.pairing.first, orbit.pairing.second)[i]
     if orbit.kind == ONE_ONE or orbit.degrees[i] or pinned not in line_pairs:
         return False
-    return sum(n for (rank, _, _), n in orbit.rows[i].items() if rank == KIND_RANK[LINE]) == 2
+    return orbit.kinds[i][KIND_RANK[LINE]] == 2
+
+
+def _zero_side(orbit: Orbit) -> bool:
+    """Whether a side of the orbit is a class that :func:`_vanishes`, so its term is 0."""
+    degree1, degree2 = orbit.degrees
+    (kinds1, kinds2), (crs1, crs2) = orbit.kinds, orbit.crossratios
+    return _vanishes(degree1, kinds1, len(crs1)) or _vanishes(degree2, kinds2, len(crs2))
 
 
 class Engine:
@@ -216,9 +230,11 @@ class Engine:
     every class: by :func:`base_from_rows` if it needs no split, else it
     builds an instance, resolves the first of :func:`resolution_choices`
     and sums over its split orbits (:func:`orbit_rows`, from block
-    counts).  A side is looked up by its degree and exact rows, which
-    fix it up to relabelling; only rows met first pay for
-    :func:`rows_key`.  ``max_nodes`` counts distinct classes.
+    counts), skipping those with a side that :func:`_vanishes` before
+    either side's rows are built.  A side is looked up by its degree and
+    exact rows, which fix it up to relabelling; only rows met first pay
+    for :func:`rows_key`.  ``max_nodes`` counts the distinct classes
+    valued; the trace also values the sides of skipped orbits.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -311,9 +327,15 @@ class Engine:
         return value
 
     def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
+        """Sum the orbit terms of ``inst`` under ``choice``, counting them in ``_terms``.
+
+        An orbit with a side that :func:`_vanishes` is skipped before its rows are built.
+        """
         last, pairing, line_pairs = choice
         value = 0
         for orbit in orbit_rows(inst, last, pairing):
+            if _zero_side(orbit):
+                continue
             if line_pairs is None or _isolates(orbit, line_pairs):
                 key1, key2 = self._side(inst, orbit, 0), self._side(inst, orbit, 1)
                 value += orbit.weight * self._memo[key1] * self._memo[key2]

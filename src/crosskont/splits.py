@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .conditions import (
     FREE,
@@ -50,6 +51,12 @@ _E_CONDITIONS = {
     ONE_ONE: (EndCondition.line(1), EndCondition.line(1)),
     TWO_ZERO_SIDE1_FIXED: (EndCondition.free(), EndCondition.point()),
     TWO_ZERO_SIDE2_FIXED: (EndCondition.point(), EndCondition.free()),
+}
+
+# What each fresh end adds to its side's (point, line, free end) counts, by split kind.
+_E_KINDS = {
+    kind: [tuple(int(KIND_RANK[e.kind] == rank) for rank in range(3)) for e in ends]
+    for kind, ends in _E_CONDITIONS.items()
 }
 
 
@@ -109,8 +116,10 @@ class SubInstancePair:
 class Orbit(NamedTuple):
     """The splits where side 1 takes ``counts[i]`` labels of block i, ``weight`` of them.
 
-    ``degrees``, ``crossratios`` (indices) and ``rows`` (fresh end included) are each
-    side's: those of the sub-instances :func:`build_subinstances` builds from :meth:`split`.
+    ``degrees``, ``crossratios`` (indices), ``kinds`` (points, lines and
+    free ends) and :attr:`rows` are each side's, fresh end included:
+    those of the sub-instances :func:`build_subinstances` builds from
+    :meth:`split`.  ``labels`` are the parent's.
     """
 
     kind: str
@@ -118,17 +127,23 @@ class Orbit(NamedTuple):
     counts: tuple[int, ...]
     degrees: tuple[int, int]
     crossratios: tuple[frozenset[int], frozenset[int]]
-    rows: tuple[dict[Row, int], dict[Row, int]]
+    kinds: tuple[tuple[int, int, int], tuple[int, int, int]]
+    side_rows: Callable[[], tuple[dict[Row, int], dict[Row, int]]]
     blocks: list[list[Label]]
     pairing: Pairing
+    labels: frozenset[Label]
+
+    @property
+    def rows(self) -> tuple[dict[Row, int], dict[Row, int]]:
+        """Each side's row counts, built on first use and then kept."""
+        return self.side_rows()
 
     def split(self, moved: Iterable[Label] | None = None) -> Split:
         """The member with ``moved`` on side 1 (default: the first ``counts`` of each block)."""
         if moved is None:
             moved = itertools.chain(*(block[:k] for block, k in zip(self.blocks, self.counts)))
-        labels1 = frozenset(self.pairing.first).union(moved)
-        labels2 = frozenset(self.pairing.second).union(*self.blocks) - labels1
-        sides = map(SplitSide, self.degrees, (labels1, labels2), self.crossratios)
+        labels1 = frozenset(itertools.chain(self.pairing.first, moved))
+        sides = map(SplitSide, self.degrees, (labels1, self.labels - labels1), self.crossratios)
         return Split(*sides, self.kind)
 
 
@@ -142,10 +157,12 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
     its entries, and two-two placements are dropped.  Labels with equal
     condition and cross-ratio memberships form a block.  The blocks are
     placed depth first, in lexicographic order of the counts, carrying
-    each remaining cross-ratio's entries on side 1; a branch stops once
-    a cross-ratio whose last block is placed holds two.  Those counts
-    route the cross-ratios and put a side's fresh end in those its side
-    holds three entries of, without label sets.
+    each remaining cross-ratio's entries and each kind's labels on side
+    1; a branch stops once a cross-ratio whose last block is placed
+    holds two.  Those counts route the cross-ratios, fix the degrees and
+    give both sides' kind counts, without label sets.  A side's rows
+    (its fresh end in the cross-ratios its side holds three entries of)
+    are built only when :attr:`Orbit.rows` is read.
     """
     if pairing.entries != inst.crossratios[last].entries:
         raise ValueError("pairing does not match the resolved cross-ratio")
@@ -157,16 +174,20 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
         if x not in crs[last]:
             grouped.setdefault(row_of(x), []).append(x)
     blocks = list(grouped.values())
+    labels = frozenset(inst.labels)
     # side 1's pinned pair, side 2's pinned pair, then one row per block
     parent = [*map(row_of, (*pairing.first, *pairing.second)), *grouped]
-    # a label's share of side 1's deficiency: +1 free, -1 point
-    excess = [(rank == KIND_RANK[FREE]) - (rank == KIND_RANK[POINT]) for rank, _, _ in parent]
+    ranks = [rank for rank, _, _ in parent]
     members = [[i for i, j in enumerate(others) if vec[j]] for _, _, vec in parent]
     sizes = [1, 1, 1, 1, *map(len, blocks)]
     taken = [1, 1, 0, 0, *(0 for _ in blocks)]  # side 1's share of each parent row
     near = [0] * len(others)  # entries of each remaining cross-ratio on side 1
     for i in members[0] + members[1]:
         near[i] += 1
+    kinds, totals = [0, 0, 0], [0, 0, 0]  # labels by kind rank on side 1, and in all
+    for rank, size, k in zip(ranks, sizes, taken):
+        kinds[rank] += k
+        totals[rank] += size
     closing: list[list[int]] = [[] for _ in blocks]  # the cross-ratios each block holds last
     last_holder = {i: b for b in range(len(blocks)) for i in members[4 + b]}
     for i, b in last_holder.items():
@@ -176,47 +197,61 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
     routes: dict[tuple[bool, ...], tuple] = {}
     orbits: list[Orbit] = []
 
-    def close(weight: int, surplus: int) -> None:
+    def close(weight: int) -> None:
         on1 = tuple(n >= 3 for n in near)
         if on1 not in routes:
             cols = [[j for j, on in zip(others, on1) if on == side] for side in (True, False)]
             projected = [[(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent] for c in cols]
             routes[on1] = sum(on1), tuple(map(frozenset, cols)), projected
-        routed, crossratios, (projected1, projected2) = routes[on1]
+        routed, crossratios, projected = routes[on1]
         # Side 1 contributes only with deficiency 3 d1 + surplus in 0..2, which
         # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
-        surplus -= routed
+        surplus = kinds[KIND_RANK[FREE]] - kinds[KIND_RANK[POINT]] - routed
         d1 = -(surplus // 3)
         if not 0 <= d1 <= inst.degree:
             return
         delta = 3 * d1 + surplus
         kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
-        end1, end2 = _E_CONDITIONS[kind]
-        rows1 = {condition_row(end1, tuple(n == 3 for n in near if n >= 3)): 1}
-        rows2 = {condition_row(end2, tuple(n == 1 for n in near if n < 3)): 1}
-        for row1, row2, k, size in zip(projected1, projected2, taken, sizes):
-            if k:
-                rows1[row1] = rows1.get(row1, 0) + k
-            if k < size:
-                rows2[row2] = rows2.get(row2, 0) + size - k
-        sides = (d1, inst.degree - d1), crossratios, (rows1, rows2)
-        orbits.append(Orbit(kind, weight, tuple(taken[4:]), *sides, blocks, pairing))
+        add1, add2 = _E_KINDS[kind]
+        side_kinds = (
+            tuple(map(operator.add, kinds, add1)),
+            tuple(map(operator.sub, map(operator.add, totals, add2), kinds)),
+        )
+        counts, near_now, built = tuple(taken[4:]), tuple(near), []
 
-    def place(b: int, weight: int, surplus: int) -> None:
+        def side_rows() -> tuple[dict[Row, int], dict[Row, int]]:
+            if not built:
+                end1, end2 = _E_CONDITIONS[kind]
+                rows1 = {condition_row(end1, tuple(n == 3 for n in near_now if n >= 3)): 1}
+                rows2 = {condition_row(end2, tuple(n == 1 for n in near_now if n < 3)): 1}
+                for row1, row2, k, size in zip(*projected, (1, 1, 0, 0, *counts), sizes):
+                    if k:
+                        rows1[row1] = rows1.get(row1, 0) + k
+                    if k < size:
+                        rows2[row2] = rows2.get(row2, 0) + size - k
+                built.append((rows1, rows2))
+            return built[0]
+
+        sides = (d1, inst.degree - d1), crossratios, side_kinds, side_rows
+        orbits.append(Orbit(kind, weight, counts, *sides, blocks, pairing, labels))
+
+    def place(b: int, weight: int) -> None:
         if b == len(blocks):
-            return close(weight, surplus)
-        size, holds, shut = sizes[4 + b], members[4 + b], closing[b]
+            return close(weight)
+        size, holds, shut, rank = sizes[4 + b], members[4 + b], closing[b], ranks[4 + b]
         for k in range(size + 1):
             if k:
+                kinds[rank] += 1
                 for i in holds:
                     near[i] += 1
             if not (shut and 2 in [near[i] for i in shut]):
                 taken[4 + b] = k
-                place(b + 1, weight * math.comb(size, k), surplus + k * excess[4 + b])
+                place(b + 1, weight * math.comb(size, k))
+        kinds[rank] -= size
         for i in holds:
             near[i] -= size
 
-    place(0, 1, excess[0] + excess[1])
+    place(0, 1)
     return orbits
 
 
