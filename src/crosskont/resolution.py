@@ -17,7 +17,6 @@ which the cross-ratios are resolved and of the chosen pairings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +25,12 @@ from .conditions import Label, Pairing, CrossRatio, all_pairings
 from .splits import route_groups
 
 SlotId = int
+
+# resolve_once bit-slices the subsets of at most _BLOCK free slots: bit s of an int stands for
+# the subset whose members are the set bits of s.  _SLICES[n][i]: the subsets of n holding i.
+_BLOCK = 12
+_SLICES = [[((1 << (1 << n)) - 1) // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+            for i in range(n)] for n in range(_BLOCK + 1)]
 
 
 class StructureError(ValueError):
@@ -79,6 +84,11 @@ def resolve_once(
 ) -> list[tuple[VertexProfile, VertexProfile]]:
     """Resolve one cross-ratio of the profile into an edge.
 
+    Side 1 takes the first pair and each subset of the other slots that
+    leaves no remaining cross-ratio two-two, found bit-sliced ``_BLOCK``
+    slots per int; ``splits.route_groups`` routes these subsets in
+    ``itertools.combinations`` order.
+
     Parameters
     ----------
     target : int
@@ -114,14 +124,37 @@ def resolve_once(
         return VertexProfile(side | {new_slot}, routes)
 
     groups = [frozenset(table.values()) for _, table in others]
+    block, outer = rest[:_BLOCK], rest[_BLOCK:]
+    has = dict(zip(block, _SLICES[len(block)]))
+    extras = [[]]  # each subset of the slots past the block joins side 1's fixed part in turn
+    for slot in outer:
+        extras += [extra + [slot] for extra in extras]
+    picks = []
+    for extra in extras:
+        fixed = first.union(extra)
+        ok = (1 << (1 << len(block))) - 1
+        for entries in groups:
+            need = 2 - len(entries & fixed)
+            if need >= 0:
+                # Per subset, count the group's block slots up from -need mod 4 in two bit
+                # planes: at most 2 + need are there, so the count is 0 where exactly need are.
+                ones, twos = -(need & 1), -(need > 0)
+                for slot in entries & has.keys():
+                    twos ^= ones & has[slot]
+                    ones ^= has[slot]
+                ok &= ones | twos
+        bits = bin(ok)[:1:-1]
+        s = bits.find("1")
+        while s >= 0:
+            picks.append([slot for i, slot in enumerate(block) if s >> i & 1] + extra)
+            s = bits.find("1", s + 1)
     out = []
-    for k in range(len(rest) + 1):
-        for chosen in itertools.combinations(rest, k):
-            side1 = first | frozenset(chosen)
-            routed = route_groups(groups, side1)
-            # Side 1 holds 2 + k slots, so both child valence equations read len(to1) == k.
-            if routed is not None and len(routed[0]) == k:
-                out.append((child(side1, routed[0]), child(profile.slots - side1, routed[1])))
+    for picked in sorted(sorted(picks), key=len):  # the order of itertools.combinations
+        side1 = first.union(picked)
+        routed = route_groups(groups, side1)
+        # Side 1 holds 2 + k slots, k = len(picked), so both child valences read len(to1) == k.
+        if routed is not None and len(routed[0]) == len(picked):
+            out.append((child(side1, routed[0]), child(profile.slots - side1, routed[1])))
     return out
 
 

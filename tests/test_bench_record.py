@@ -23,13 +23,14 @@ def _spec() -> dict:
     return {group: {m["name"]: m for m in benchmark[group]} for group in groups}
 
 
-def _write(path: Path, runs: list[tuple[str, int, int, dict]]) -> None:
-    """One sweep.py line per (workload, seed, trace, metric values)."""
+def _write(path: Path, runs: list[tuple[str, int, int, dict]], **context) -> None:
+    """One sweep.py line per (workload, seed, trace, metric values); ``context`` overrides."""
+    context = {"python": "3", "nproc": 2, "commit": "abc", "src_lines": 10,
+               "src_sha256": "0123456789abcdef", **context}
     with open(path, "w", encoding="utf-8") as handle:
         for workload, seed, trace, values in runs:
             metrics = {name: {"value": value, "unit": ""} for name, value in values.items()}
             result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
-            context = {"python": "3", "nproc": 2, "commit": "abc", "src_lines": 10}
             record = {"workload": workload, "seed": seed, "trace": trace, "context": context,
                       "result": result}
             handle.write(json.dumps(record) + "\n")
@@ -64,3 +65,22 @@ def test_traced_metrics_come_from_the_least_seed_on_both_sides():
     assert name == "traced_seed_2"
     assert traced == {"w": {"correct": {"parent": True, "change": True},
                             "metrics": {"engine.nodes": {"parent": 7, "change": 6}}}}
+
+
+def test_record_names_the_measured_code_by_line_count_and_hash(tmp_path, monkeypatch):
+    # sweeps run in copies without .git report no commit; the src/ hash still tells them apart
+    tool = _tool()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "digest", lambda: (204, "feed"))
+    runs = lambda wall: [("w", s, 0, _end_to_end(wall + 0.001 * s)) for s in range(1, 11)]
+    _write(tmp_path / "p.jsonl", runs(0.30), commit="unknown", src_sha256="aaaa", src_lines=12)
+    _write(tmp_path / "c.jsonl", runs(0.20), commit="unknown", src_sha256="bbbb", src_lines=11)
+    argv = ["--number", "99", "--parent", str(tmp_path / "p.jsonl"),
+            "--change", str(tmp_path / "c.jsonl"), "--claim", "w:wall_s", "--note", "n"]
+    assert tool.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert record["parent_commit"] == "unknown"
+    assert record["src_sha256"] == {"parent": "aaaa", "change": "bbbb"}
+    assert record["src_lines"] == {"parent": 12, "change": 11}
+    assert record["claim"]["verdict"] == "improved" and record["cli_digest"]["runs"] == 204

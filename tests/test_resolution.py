@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -17,7 +20,9 @@ from crosskont import (
     total_resolutions,
     resolve_once,
 )
+from crosskont import resolution
 from crosskont.conditions import all_pairings
+from crosskont.resolution import _BLOCK
 from crosskont.splits import route_groups
 
 from corpus import golden_multcr_shapes
@@ -175,11 +180,57 @@ def _golden_profiles():
 
 @pytest.mark.parametrize("cases", [_small_profiles, _golden_profiles])
 def test_resolve_once_matches_the_placement_loop(cases):
-    checked = 0
+    checked = widest = 0
     for prof, target, pairing in cases():
         assert resolve_once(prof, target, pairing) == _placement_loop(prof, target, pairing)
         checked += 1
+        widest = max(widest, len(prof.slots) - 4)
     assert checked == {_small_profiles: 93, _golden_profiles: 154}[cases]
+    # the golden r = 14 shapes have more free slots than one block, so the outer loop runs
+    assert (widest > _BLOCK) == (cases is _golden_profiles)
+
+
+@st.composite
+def scattered_profiles(draw):
+    """r = 1..6 random cross-ratios over 3 + r slot ids that are scattered, large or negative."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    ids = st.one_of(
+        st.integers(-60, 60), st.integers(10**6, 10**6 + 60), st.integers(-(10**12), 10**12)
+    )
+    slots = draw(st.lists(ids, min_size=3 + r, max_size=3 + r, unique=True))
+    quads = st.lists(st.sampled_from(slots), min_size=4, max_size=4, unique=True)
+    return slots, draw(st.lists(quads, min_size=r, max_size=r))
+
+
+@given(scattered_profiles(), st.integers(min_value=0, max_value=_BLOCK))
+def test_resolve_once_keeps_the_placement_loop_order_on_any_slot_ids(prof_data, width):
+    # a narrow block sends the remaining free slots through the outer loop
+    slots, crs = prof_data
+    prof = VertexProfile.of(slots, crs)
+    with mock.patch.object(resolution, "_BLOCK", width):
+        for target, cr in enumerate(crs):
+            for pairing in all_pairings(CrossRatio.of(*cr)):
+                expected = _placement_loop(prof, target, pairing)
+                assert resolve_once(prof, target, pairing) == expected
+
+
+def test_resolve_once_memory_is_bounded_by_the_block():
+    # r = 20 leaves 19 free slots; each chain cross-ratio holds one slot of the first pair
+    # and two neighbouring free slots, so only all-in and all-out survive the filter
+    free = list(range(4, 23))
+    chain = [[0, 2, a, b] for a, b in zip(free, free[1:])] + [[1, 3, free[0], free[-1]]]
+    prof = VertexProfile.of(range(23), [[0, 1, 2, 3], *chain])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        children = resolve_once(prof, 0, Pairing.of((0, 1), (2, 3)))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [sorted(left.slots) for left, _ in children] == [[0, 1, 23], [0, 1, *free, 23]]
+    assert peak < 2**20, peak
+    assert elapsed < 5, elapsed
 
 
 def test_golden_multcr_counts():

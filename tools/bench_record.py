@@ -12,8 +12,8 @@ seed, alternating which side goes first.  For every workload and
 end-to-end metric the record holds each side's quartiles, the pairs the
 change wins and the verdict of ``perfbench/compare.py``; for the traced
 runs, each per-layer metric on both sides.  It adds the ``src/`` line
-counts the runs report and the ``tools/cli_digest.py`` digest of this
-checkout, and is written to ``BENCH_<n>.json`` at the repository root.
+counts and ``src/`` hashes the runs report and the ``tools/cli_digest.py``
+digest of this checkout, and is written to ``BENCH_<n>.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -138,10 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         name, traced = _traced(_records(args.traced_parent), _records(args.traced_change), spec)
         if traced:
             record[name] = traced
-    record["src_lines"] = {
-        "parent": context["src_lines"],
-        "change": change_records[0]["context"]["src_lines"],
-    }
+    # The hash names the measured code also where a checkout without .git has no commit.
+    for key in ("src_lines", "src_sha256"):
+        record[key] = {"parent": context[key], "change": change_records[0]["context"][key]}
     runs, sha256 = digest()
     record["cli_digest"] = {"runs": runs, "sha256": sha256}
 
