@@ -182,17 +182,18 @@ def resolution_choices(inst: Instance) -> Iterator[Choice]:
     With point conditions: every cross-ratio, from the last one down,
     under each of its three pairings.  Without points: every cross-ratio,
     from the last one down, under each pairing with an admissible pair of
-    multi line entries, with every such pair of it: a split counts when it
-    isolates either on a degree-zero side, as a line meets a degenerate
-    (12|34) where it passes through L1 ∩ L2 or through L3 ∩ L4.
+    multi line entries.  It keeps those admissible line pairs and any pair
+    of one line and one free end: a line meets a degenerate (12|34) where
+    it passes through L1 ∩ L2 or through L3 ∩ L4, and, for a free end 2,
+    where the free point p2 sits on it at L1 (see :func:`_isolates`).
 
     Checked to agree: at the root by :func:`evaluate_invariance_battery`
-    on the test corpus and on degree 1 with lines and two cross-ratios
-    (4 - |cr1 ∩ cr2| curves, as classically); at every node, in reverse
-    order, on the golden eval-multi shapes and a d = 7 instance with six
-    cross-ratios.  Still disagreeing (``eval --check`` exits 1): d = 1,
-    lines 1..5, free 6, [[1,2,3,4],[1,2,3,5],[1,4,5,6]] counts 0 by
-    default and 1 under every other choice.
+    on the test corpus, on degree 1 with lines and two cross-ratios
+    (4 - |cr1 ∩ cr2| curves, as classically) and on every weight-1 class
+    of d = 1 with 5 or 6 lines, a free end and three cross-ratios and of
+    d = 2 with a point, 6 lines and four cross-ratios; at every node, in
+    reverse order, on the golden eval-multi shapes, a d = 7 instance with
+    six cross-ratios and a sample of free-end classes.
     """
     for last in range(len(inst.crossratios) - 1, -1, -1):
         cr = inst.crossratios[last]
@@ -202,17 +203,26 @@ def resolution_choices(inst: Instance) -> Iterator[Choice]:
             continue
         line_pairs = itertools.combinations([x for x in cr if inst.condition(x).kind == LINE], 2)
         pairs = [p for p in line_pairs if admissible_line_pair(inst, last, *p)]
+        kept = lambda p: p in pairs or {inst.condition(x).kind for x in p} == {LINE, FREE}
         for pairing in dict.fromkeys(Pairing.of(p, cr.entries - set(p)) for p in pairs):
-            yield last, pairing, tuple(p for p in (pairing.first, pairing.second) if p in pairs)
+            yield last, pairing, tuple(filter(kept, (pairing.first, pairing.second)))
 
 
 def _isolates(orbit: Orbit, line_pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the orbit leaves a pair of ``line_pairs`` alone on a fixed degree-zero side."""
+    """Whether the orbit isolates a kept pair of its pairing on a degree-zero side.
+
+    A 2/0 orbit counts when its fixed side has degree 0, holds a kept
+    pinned pair and exactly two lines.  A 1/1 orbit counts when a side
+    holding a kept pinned pair has degree 0 and is the star {L, f, e}: a
+    line, a free end and the fresh line end, the free point sitting on
+    the curve's line end where it meets L.
+    """
+    pins = orbit.pairing.first, orbit.pairing.second
+    held = [i for i in (0, 1) if pins[i] in line_pairs]
+    if orbit.kind == ONE_ONE:
+        return any(not orbit.degrees[i] and orbit.kinds[i] == (0, 2, 1) for i in held)
     i = 0 if orbit.kind == TWO_ZERO_SIDE1_FIXED else 1
-    pinned = (orbit.pairing.first, orbit.pairing.second)[i]
-    if orbit.kind == ONE_ONE or orbit.degrees[i] or pinned not in line_pairs:
-        return False
-    return orbit.kinds[i][KIND_RANK[LINE]] == 2
+    return i in held and not orbit.degrees[i] and orbit.kinds[i][KIND_RANK[LINE]] == 2
 
 
 def _zero_side(orbit: Orbit) -> bool:

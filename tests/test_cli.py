@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosskont import cli, evaluate_invariance_battery
+from crosskont import cli, engine, evaluate_invariance_battery
 from crosskont.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -503,7 +503,7 @@ def test_cli_output_digest_is_pinned():
 @pytest.mark.parametrize(
     "fields",
     [
-        # a free end makes the root choices disagree (ROADMAP item 1, step 2)
+        # a free end meeting a line: the root choices used to disagree
         dict(
             lines=[1, 2, 3, 4, 5], free=[6], crossratios=[[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
         ),
@@ -526,3 +526,24 @@ def test_check_reports_each_mismatch_of_the_battery(capsys, tmp_path, fields):
     assert err.splitlines() == expected
     summary = [f"invariance ok over {len(report.variants)} variants", str(report.value)]
     assert out.splitlines() == (summary if report.ok else [])
+
+
+def test_check_prints_the_mismatch_of_a_disagreeing_root_choice(capsys, tmp_path, monkeypatch):
+    # Every root choice agrees here (count 1); the battery is handed one more
+    # that keeps no pair of its pairing, so it counts 0.
+    listed = engine.resolution_choices
+
+    def with_one_more(inst):
+        choices = list(listed(inst))
+        last, pairing, _ = choices[-1]
+        return iter([*choices, (last, pairing, ())])
+
+    monkeypatch.setattr("crosskont.engine.resolution_choices", with_one_more)
+    lines = [{"label": x, "weight": 1} for x in range(1, 6)]
+    crossratios = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
+    document = _instance_document(points=[], lines=lines, free=[6], crossratios=crossratios)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "eval", "--check", path)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["mismatch: cr 0 pairing (1 2 | 3 4) gave 0, expected 1"]

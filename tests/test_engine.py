@@ -25,7 +25,7 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
-from crosskont.conditions import LINE, all_pairings, canonical_key, label_rows, rows_key
+from crosskont.conditions import FREE, LINE, all_pairings, canonical_key, label_rows, rows_key
 from crosskont.engine import (
     Engine,
     _isolates,
@@ -351,11 +351,20 @@ def test_trace_streams_its_first_lines_in_little_memory():
 
 
 def _isolates_by_labels(inst, split, line_pairs) -> bool:
-    """The rule on labels: the fixed degree-zero side's sorted line labels are one of the pairs."""
+    """The rule on labels: a kept pair on a degree-zero side of the split.
+
+    On a 2/0 split that side is the fixed one and holds exactly two line
+    labels; on a 1/1 split it holds nothing but the pair, a line and a
+    free end, beside the fresh end.
+    """
+    kinds = lambda labels: [inst.condition(x).kind for x in labels]
+    if split.kind == ONE_ONE:
+        sides = [side for side in (split.side1, split.side2) if not side.degree]
+        star = lambda pair: sorted(kinds(pair)) == sorted([LINE, FREE])
+        return any(side.labels == set(p) and star(p) for side in sides for p in line_pairs)
     side = split.side1 if split.kind == TWO_ZERO_SIDE1_FIXED else split.side2
-    if split.kind == ONE_ONE or side.degree:
-        return False
-    return tuple(x for x in sorted(side.labels) if inst.condition(x).kind == LINE) in line_pairs
+    held = any(set(pair) <= side.labels for pair in line_pairs)
+    return not side.degree and held and kinds(side.labels).count(LINE) == 2
 
 
 def _check_isolates(inst) -> int:
@@ -372,13 +381,14 @@ def _check_isolates(inst) -> int:
 
 
 def test_isolation_by_counts_matches_the_label_rule():
-    classes = [_weight_one_classes(*shape) for shape in [(1, 0, 6, 2), (1, 0, 7, 2), (2, 2, 5, 3)]]
+    shapes = [(1, 0, 6, 2), (1, 0, 7, 2), (2, 2, 5, 3), (1, 0, 5, 3, 1)]
+    classes = [_weight_one_classes(*shape) for shape in shapes]
     crossratios = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
     lines = dict.fromkeys(range(1, 6), 1)
     free_end = Instance.build(1, lines=lines, free=[6], crossratios=crossratios)
     checked = [sum(map(_check_isolates, instances)) for instances in (CORPUS, *classes, [free_end])]
     # the d = 2 classes keep a point on every node the engine resolves
-    assert [bool(n) for n in checked] == [True, True, True, False, True]
+    assert [bool(n) for n in checked] == [True, True, True, False, True, True]
 
 
 def _perfbench_oracles():
@@ -574,7 +584,7 @@ def test_skipped_orbits_have_a_side_the_base_rule_values_zero():
 
 
 def _free_end_sample(size: int, seed: int) -> list[Instance]:
-    """``size`` random instances of each shape where resolution choices still disagree.
+    """``size`` random instances of each shape where resolution choices used to disagree.
 
     The shapes, with weight-1 lines: d = 1, 5 lines + 1 free end, r = 3;
     d = 1, 6 lines + 1 free end, r = 3; d = 2, 1 point, 6 lines, r = 4;
@@ -601,9 +611,9 @@ def _free_end_sample(size: int, seed: int) -> list[Instance]:
 
 
 def test_skipping_zero_orbits_keeps_every_count(monkeypatch):
-    # A class first met through a skipped orbit takes its representative, and
-    # so its resolution, from a later orbit; where free ends still make counts
-    # depend on the resolution, that could move a count.
+    # Skipping changes which classes are valued and in which order; on the
+    # free-end sample, where counts used to depend on the resolution, that
+    # could move a count.
     shapes = golden_eval_multi_shapes()
     instances = [*map(golden_instance, shapes), *_free_end_sample(60, seed=7)]
     counts = [evaluate(inst) for inst in instances]
@@ -645,10 +655,13 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
     # The battery varies the root's choice only; this varies it at every node.
     multi = _multi(7, 6)
     assert evaluate(multi) == 1_994_058
+    sample = _free_end_sample(60, seed=7)
+    counts = [evaluate(inst) for inst in sample]
     calls = _resolve_in_reverse(monkeypatch)
     for shape in golden_eval_multi_shapes():
         assert evaluate(golden_instance(shape)) == shape["count"], shape["id"]
     assert evaluate(multi) == 1_994_058
+    assert [evaluate(inst) for inst in sample] == counts
     assert calls
 
 
@@ -664,30 +677,56 @@ def test_frontier_count_and_node_count_are_pinned(monkeypatch, reverse, nodes):
     assert engine._nodes == nodes
 
 
-def _weight_one_classes(degree: int, points: int, lines: int, r: int) -> list[Instance]:
+def _weight_one_classes(degree: int, points: int, lines: int, r: int, free: int = 0) -> list[Instance]:
     """One instance per class up to relabelling: weight-1 lines, r distinct cross-ratios."""
-    labels = range(1, points + lines + 1)
+    labels = range(1, points + lines + free + 1)
     classes = {}
     for crossratios in itertools.combinations(itertools.combinations(labels, 4), r):
         inst = Instance.build(
             degree,
             points=labels[:points],
-            lines={x: 1 for x in labels[points:]},
+            lines={x: 1 for x in labels[points : points + lines]},
+            free=labels[points + lines :],
             crossratios=crossratios,
         )
         classes.setdefault(canonical_key(inst), inst)
     return list(classes.values())
 
 
+def _shape(degree, points, lines, r, classes, free=0):
+    shape = f"{degree}-{points}-{lines}-{r}-{classes}" + (f"-free{free}" if free else "")
+    return pytest.param(degree, points, lines, r, classes, free, id=shape)
+
+
 @pytest.mark.parametrize(
-    "degree, points, lines, r, classes", [(1, 0, 6, 2, 2), (1, 0, 7, 2, 3), (2, 2, 5, 3, 76)]
+    "degree, points, lines, r, classes, free",
+    [
+        _shape(1, 0, 6, 2, 2),
+        _shape(1, 0, 7, 2, 3),
+        _shape(2, 2, 5, 3, 76),
+        _shape(1, 0, 5, 3, 13, free=1),
+        _shape(1, 0, 6, 3, 35, free=1),
+        _shape(2, 1, 6, 4, 163),
+    ],
 )
-def test_every_root_choice_agrees_on_every_weight_one_class(degree, points, lines, r, classes):
-    # Exhaustive over the shapes the no-point fix covers; the shapes with a
-    # free end still disagree (see resolution_choices) and are not swept.
-    found = _weight_one_classes(degree, points, lines, r)
+def test_every_root_choice_agrees_on_every_weight_one_class(degree, points, lines, r, classes, free):
+    # Exhaustive over the weight-1 shapes: without points, with a free end
+    # (kept where it meets a line, see resolution_choices) and with a point.
+    # d = 2, 2 points, 4 lines, a free end and r = 4 (1,553 classes, about
+    # 20 s) agrees too; tools/choice_sweep.py runs it.
+    found = _weight_one_classes(degree, points, lines, r, free)
     assert len(found) == classes
     assert [inst for inst in found if not evaluate_invariance_battery(inst).ok] == []
+
+
+def test_a_weighted_free_end_class_agrees_and_scales_by_its_weights():
+    # d = 1, lines 1..5, free end 6: classically 1 curve with weight-1 lines
+    crossratios = [[1, 2, 3, 6], [1, 2, 4, 6], [1, 2, 5, 6]]
+    weights = {1: 2, 2: 1, 3: 3, 4: 1, 5: 2}
+    inst = Instance.build(1, lines=weights, free=[6], crossratios=crossratios)
+    report = evaluate_invariance_battery(inst)
+    assert report.ok and len(report.variants) > 1
+    assert report.value == math.prod(weights.values())
 
 
 @given(data=st.data())
