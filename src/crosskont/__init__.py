@@ -23,7 +23,6 @@ from .engine import (
     Engine,
     ResourceLimitError,
     ValidationError,
-    admissible_line_pair,
     evaluate,
     evaluate_invariance_battery,
     kontsevich,
@@ -70,7 +69,6 @@ __all__ = [
     "Engine",
     "ResourceLimitError",
     "ValidationError",
-    "admissible_line_pair",
     "evaluate",
     "evaluate_invariance_battery",
     "kontsevich",

@@ -17,12 +17,13 @@ recursion engine uses for memoization.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Label = int
 Count = int
@@ -287,14 +288,15 @@ def condition_row(cond: EndCondition, membership: tuple[bool, ...]) -> Row:
     return KIND_RANK[cond.kind], cond.weight, membership
 
 
-def label_rows(inst: Instance) -> dict[Row, int]:
-    """How many labels of ``inst`` share each row, over its listed cross-ratios."""
+def label_row(inst: Instance) -> Callable[[Label], Row]:
+    """A label's row in ``inst``, over its listed cross-ratios."""
     crs = [cr.entries for cr in inst.crossratios]
-    rows: dict[Row, int] = {}
-    for label, cond in inst.conditions.items():
-        row = condition_row(cond, tuple(label in cr for cr in crs))
-        rows[row] = rows.get(row, 0) + 1
-    return rows
+    return lambda x: condition_row(inst.conditions[x], tuple(x in cr for cr in crs))
+
+
+def label_rows(inst: Instance) -> dict[Row, int]:
+    """How many labels of ``inst`` share each row, in the order rows first appear."""
+    return dict(collections.Counter(map(label_row(inst), inst.labels)))
 
 
 def rows_key(degree: int, rows: Mapping[Row, int]) -> bytes:

@@ -6,9 +6,8 @@ a sum, over all contributing splits, of products of the two sides'
 counts.  With at least one point condition any cross-ratio and any of
 its three pairings may be resolved; without points the resolved
 cross-ratio must contain an admissible pair of multi line entries,
-isolated on a degree-zero side (see :func:`admissible_line_pair`).
-:func:`resolution_choices` lists which choices are checked to agree and
-one that still disagrees.
+isolated on a degree-zero side (see :func:`_choices`).
+:func:`resolution_choices` lists which choices are checked to agree.
 
 Recursion anchors: instances without cross-ratios reduce to the plane
 Kontsevich numbers via line factors, and degree-zero instances reduce
@@ -32,8 +31,8 @@ from .conditions import (
     Instance,
     Pairing,
     Row,
-    all_pairings,
     canonical_key,
+    label_row,
     label_rows,
     rows_key,
     validate,
@@ -51,8 +50,8 @@ from .splits import (
 
 DEFAULT_MAX_NODES = 1_000_000
 
-# (resolved cross-ratio index, pairing, line pairs to isolate on a degree-zero side or None)
-Choice = tuple[int, Pairing, Optional[tuple[tuple[int, int], ...]]]
+# (resolved cross-ratio index, its entries' rows with side 1's pair first, pairs kept or None)
+Choice = tuple[int, tuple[Row, ...], Optional[tuple[int, ...]]]
 
 
 class ValidationError(ValueError):
@@ -155,74 +154,81 @@ def base_degree_zero(inst: Instance) -> Count:
     return base_from_rows(inst.degree, label_rows(inst))
 
 
-def admissible_line_pair(inst: Instance, last: int, a: int, b: int) -> bool:
-    """Whether grouping the line labels a, b of cross-ratio ``last`` is sound.
+def _choices(columns: Sequence[Sequence], row: Callable, points: bool) -> Iterator[tuple]:
+    """The resolutions of a class whose cross-ratio j has the entries ``columns[j]``.
 
-    Isolating a and b on a degree-zero side strands any other
-    cross-ratio that contains both of them together with two further
-    multi line entries: those two are forced to the far side, the
-    grouped pair stays behind, and the cross-ratio can no longer be
-    satisfied on either.  Such a grouping cannot be the pair of ends
-    that pins down a contributing curve, so resolving along it loses
-    curves instead of splitting them.  Free entries do not obstruct,
-    they may join the degree-zero side.
+    Yields (cross-ratio, its entries with side 1's pair first, the kept
+    pairs, 0 for side 1's and 1 for side 2's, or None), the default
+    first; ``row`` gives an entry's row.  With points: every cross-ratio,
+    from the last one down, under each of its three pairings.  Without
+    points: every cross-ratio, from the last one down, under each
+    pairing with an admissible pair of multi line entries.  It keeps
+    those pairs and any pair of one line and one free end: a line meets
+    a degenerate (12|34) where it passes through L1 ∩ L2 or L3 ∩ L4, and,
+    for a free end 2, where the free point p2 sits on it at L1 (see
+    :func:`_isolates`).  A line pair is not admissible when another
+    cross-ratio holds it with two more lines: isolating it forces those
+    two to the far side, and that cross-ratio can be satisfied on
+    neither.  Pairs keep the entries' order, side 1's holding the first.
+    The tests check that the choices agree, at the root by
+    :func:`evaluate_invariance_battery` and at every node in reverse
+    order, on the shapes the README lists.
     """
-    for j, cr in enumerate(inst.crossratios):
-        if j == last or a not in cr or b not in cr:
-            continue
-        rest = cr.entries - {a, b}
-        if all(inst.condition(x).kind == LINE for x in rest):
-            return False
-    return True
+    line, free = KIND_RANK[LINE], KIND_RANK[FREE]
+    full = [j for j, column in enumerate(columns) if all(row(x)[0] == line for x in column)]
+    for last in range(len(columns) - 1, -1, -1):
+        entries = columns[last]
+        ranks, _, vecs = zip(*map(row, entries))
+        tied = lambda a, b: any(j != last and vecs[a][j] and vecs[b][j] for j in full)
+        lines = itertools.combinations([i for i in range(4) if ranks[i] == line], 2)
+        pairs = [(0, 1), (0, 2), (0, 3)] if points else [p for p in lines if not tied(*p)]
+        kept = lambda p: p in pairs or {ranks[i] for i in p} == {line, free}
+        rest = lambda p: tuple(i for i in range(4) if i not in p)
+        for order in dict.fromkeys(p + rest(p) if 0 in p else rest(p) + p for p in pairs):
+            picked = None if points else tuple(k for k in (0, 1) if kept(order[2 * k : 2 * k + 2]))
+            yield last, tuple(entries[i] for i in order), picked
 
 
-def resolution_choices(inst: Instance) -> Iterator[Choice]:
-    """Every admissible way to resolve a split instance, the default first.
+def resolution_choices(inst: Instance) -> Iterator[tuple[Pairing, Choice]]:
+    """:func:`_choices` of an instance, on each cross-ratio's entries in label order.
 
-    With point conditions: every cross-ratio, from the last one down,
-    under each of its three pairings.  Without points: every cross-ratio,
-    from the last one down, under each pairing with an admissible pair of
-    multi line entries.  It keeps those admissible line pairs and any pair
-    of one line and one free end: a line meets a degenerate (12|34) where
-    it passes through L1 ∩ L2 or through L3 ∩ L4, and, for a free end 2,
-    where the free point p2 sits on it at L1 (see :func:`_isolates`).
-
-    Checked to agree: at the root by :func:`evaluate_invariance_battery`
-    on the test corpus, on degree 1 with lines and two cross-ratios
-    (4 - |cr1 ∩ cr2| curves, as classically) and on every weight-1 class
-    of d = 1 with 5 or 6 lines, a free end and three cross-ratios and of
-    d = 2 with a point, 6 lines and four cross-ratios; at every node, in
-    reverse order, on the golden eval-multi shapes, a d = 7 instance with
-    six cross-ratios and a sample of free-end classes.
+    Each comes with its pairing, as the trace, the battery and ``eval --check`` read it.
     """
-    for last in range(len(inst.crossratios) - 1, -1, -1):
-        cr = inst.crossratios[last]
-        if inst.points:
-            for pairing in all_pairings(cr):
-                yield last, pairing, None
-            continue
-        line_pairs = itertools.combinations([x for x in cr if inst.condition(x).kind == LINE], 2)
-        pairs = [p for p in line_pairs if admissible_line_pair(inst, last, *p)]
-        kept = lambda p: p in pairs or {inst.condition(x).kind for x in p} == {LINE, FREE}
-        for pairing in dict.fromkeys(Pairing.of(p, cr.entries - set(p)) for p in pairs):
-            yield last, pairing, tuple(filter(kept, (pairing.first, pairing.second)))
+    row = label_row(inst)
+    for last, labels, kept in _choices(list(map(list, inst.crossratios)), row, bool(inst.points)):
+        yield Pairing(labels[:2], labels[2:]), (last, tuple(map(row, labels)), kept)
 
 
-def _isolates(orbit: Orbit, line_pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the orbit isolates a kept pair of its pairing on a degree-zero side.
+def _row_choices(rows: Mapping[Row, int]) -> Iterator[Choice]:
+    """:func:`_choices` of a class from its rows, the default first.
+
+    Each cross-ratio's four entry rows are sorted and listed 1st, 3rd,
+    2nd, 4th.  With points the default thus pairs the 1st with the 3rd
+    and the 2nd with the 4th, so equal rows end up on opposite sides:
+    on ``multi(9, 5)`` that sums 28,381 orbit terms, against 38,858 by
+    a representative's label order and 64,143 pairing the 1st with the 2nd.
+    Without points the listing barely matters (831 orbit terms over the
+    240 free-end instances of the tests, 810 with the rows sorted).
+    """
+    width = len(next(iter(rows))[2])
+    listed = [sorted(r for r, n in rows.items() if r[2][j] for _ in range(n)) for j in range(width)]
+    points = any(rank == KIND_RANK[POINT] for rank, _, _ in rows)
+    return _choices([(a, c, b, d) for a, b, c, d in listed], lambda row: row, points)
+
+
+def _isolates(orbit: Orbit, kept: tuple[int, ...]) -> bool:
+    """Whether the orbit isolates a ``kept`` pinned pair on a degree-zero side.
 
     A 2/0 orbit counts when its fixed side has degree 0, holds a kept
-    pinned pair and exactly two lines.  A 1/1 orbit counts when a side
-    holding a kept pinned pair has degree 0 and is the star {L, f, e}: a
-    line, a free end and the fresh line end, the free point sitting on
-    the curve's line end where it meets L.
+    pair and exactly two lines.  A 1/1 orbit counts when a side holding
+    a kept pair has degree 0 and is the star {L, f, e}: a line, a free
+    end and the fresh line end, the free point sitting on the curve's
+    line end where it meets L.
     """
-    pins = orbit.pairing.first, orbit.pairing.second
-    held = [i for i in (0, 1) if pins[i] in line_pairs]
     if orbit.kind == ONE_ONE:
-        return any(not orbit.degrees[i] and orbit.kinds[i] == (0, 2, 1) for i in held)
+        return any(not orbit.degrees[i] and orbit.kinds[i] == (0, 2, 1) for i in kept)
     i = 0 if orbit.kind == TWO_ZERO_SIDE1_FIXED else 1
-    return i in held and not orbit.degrees[i] and orbit.kinds[i][KIND_RANK[LINE]] == 2
+    return i in kept and not orbit.degrees[i] and orbit.kinds[i][KIND_RANK[LINE]] == 2
 
 
 def _zero_side(orbit: Orbit) -> bool:
@@ -235,16 +241,16 @@ def _zero_side(orbit: Orbit) -> bool:
 class Engine:
     """Memoized single-threaded evaluator for counting instances.
 
-    The memo is keyed on :func:`canonical_key`, so relabelled repeats
-    of the same sub-instance are computed once.  :meth:`_node` values
-    every class: by :func:`base_from_rows` if it needs no split, else it
-    builds an instance, resolves the first of :func:`resolution_choices`
-    and sums over its split orbits (:func:`orbit_rows`, from block
-    counts), skipping those with a side that :func:`_vanishes` before
-    either side's rows are built.  A side is looked up by its degree and
-    exact rows, which fix it up to relabelling; only rows met first pay
-    for :func:`rows_key`.  ``max_nodes`` counts the distinct classes
-    valued; the trace also values the sides of skipped orbits.
+    A class, fixed up to relabelling by its degree and row counts, is
+    memoized under their :func:`rows_key`.  :meth:`_node` values every
+    class from its rows, building no instance below the root: by
+    :func:`base_from_rows` if it needs no split, else as the sum over the
+    split orbits (:func:`orbit_rows`) of the first of :func:`_row_choices`,
+    skipping those with a side that :func:`_vanishes` before either
+    side's rows are built.  A side is looked up by its degree and exact
+    rows; only rows met first pay for :func:`rows_key`.  ``max_nodes``
+    counts the distinct classes valued; the trace also values the sides
+    of skipped orbits.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -274,19 +280,14 @@ class Engine:
         yield from self._walk(inst, canonical_key(inst), seen, "", "")
 
     def _eval(self, inst: Instance) -> Count:
-        key = canonical_key(inst)
+        rows = label_rows(inst)
+        key = rows_key(inst.degree, rows)
         if key in self._memo:
             return self._memo[key]
-        return self._node(key, inst.degree, label_rows(inst), lambda: inst)
+        return self._node(key, inst.degree, rows)
 
-    def _node(
-        self, key: bytes, degree: int, rows: Mapping[Row, int], build: Callable[[], Instance]
-    ) -> Count:
-        """Value the class ``key`` of ``degree`` and ``rows`` into the memo.
-
-        ``build()`` makes an instance of the class; it is called only for
-        a class that splits, with cross-ratios and positive degree.
-        """
+    def _node(self, key: bytes, degree: int, rows: Mapping[Row, int]) -> Count:
+        """Value the class ``key`` of ``degree`` and ``rows`` into the memo."""
         self._nodes += 1
         if self._nodes > self.max_nodes:
             raise ResourceLimitError(
@@ -295,9 +296,8 @@ class Engine:
         if degree == 0 or not next(iter(rows))[2]:  # membership vectors span the cross-ratios
             value = base_from_rows(degree, rows)
         else:
-            inst = build()
-            choice = next(resolution_choices(inst), None)
-            value = 0 if choice is None else self._orbit_sum(inst, choice)
+            choice = next(_row_choices(rows), None)
+            value = 0 if choice is None else self._orbit_sum(degree, rows, choice)
         self._memo[key] = value
         return value
 
@@ -306,8 +306,9 @@ class Engine:
     ) -> Generator[str, None, Count]:
         """Yield the trace of ``inst``, of class ``key``, after ``head``; return its value.
 
-        Splits come from :func:`orbit_members`, side classes from :meth:`_side`,
-        which also evaluates any the memo lacks, from the orbit's first member.
+        Splits come from :func:`orbit_members` under the first of its
+        :func:`resolution_choices`, side classes from :meth:`_side`, which
+        also evaluates any the memo lacks.
         """
         yield head + _describe(inst, f"d={inst.degree}", inst.labels, range(len(inst.crossratios)))
         value = self._memo[key]
@@ -318,41 +319,41 @@ class Engine:
         if choice is None:
             yield f"{pad}  = {value} ({rule or 'no line pair'})"
             return value
-        last, pairing, line_pairs = choice
+        pairing, (last, _, kept) = choice
         (a, b), (c, d) = pairing.first, pairing.second
         yield f"{pad}  resolve cr ({a} {b} | {c} {d})"
         nest = [(f"{pad}    side {i}: ", pad + "    ") for i in (1, 2)]  # each side's head and pad
         for split, orbit in orbit_members(inst, last, pairing):
-            if line_pairs is None or _isolates(orbit, line_pairs):
+            if kept is None or _isolates(orbit, kept):
                 s1, s2 = (
                     _describe(inst, f"d={side.degree}:", side.labels, side.crossratios)
                     for side in (split.side1, split.side2)
                 )
                 yield f"{pad}  split [{split.kind}] ({s1} | {s2})"
                 sub = build_subinstances(inst, split)
-                left = yield from self._walk(sub.side1, self._side(inst, orbit, 0), seen, *nest[0])
-                right = yield from self._walk(sub.side2, self._side(inst, orbit, 1), seen, *nest[1])
+                left = yield from self._walk(sub.side1, self._side(orbit, 0), seen, *nest[0])
+                right = yield from self._walk(sub.side2, self._side(orbit, 1), seen, *nest[1])
                 yield f"{pad}  term {left} * {right} = {left * right}"
         yield f"{pad}  = {value}"
         return value
 
-    def _orbit_sum(self, inst: Instance, choice: Choice) -> Count:
-        """Sum the orbit terms of ``inst`` under ``choice``, counting them in ``_terms``.
+    def _orbit_sum(self, degree: int, rows: Mapping[Row, int], choice: Choice) -> Count:
+        """Sum the orbit terms of a class under ``choice``, counting them in ``_terms``.
 
         An orbit with a side that :func:`_vanishes` is skipped before its rows are built.
         """
-        last, pairing, line_pairs = choice
+        last, pinned, kept = choice
         value = 0
-        for orbit in orbit_rows(inst, last, pairing):
+        for orbit in orbit_rows(degree, rows, last, pinned):
             if _zero_side(orbit):
                 continue
-            if line_pairs is None or _isolates(orbit, line_pairs):
-                key1, key2 = self._side(inst, orbit, 0), self._side(inst, orbit, 1)
+            if kept is None or _isolates(orbit, kept):
+                key1, key2 = self._side(orbit, 0), self._side(orbit, 1)
                 value += orbit.weight * self._memo[key1] * self._memo[key2]
                 self._terms += 1
         return value
 
-    def _side(self, inst: Instance, orbit: Orbit, i: int) -> bytes:
+    def _side(self, orbit: Orbit, i: int) -> bytes:
         """Class key of side ``i`` (0 or 1) of an orbit, valued into the memo on a miss."""
         degree, rows = orbit.degrees[i], orbit.rows[i]
         exact = degree, frozenset(rows.items())
@@ -360,8 +361,7 @@ class Engine:
             return self._exact[exact]
         key = rows_key(degree, rows)
         if key not in self._memo:
-            build = lambda: getattr(build_subinstances(inst, orbit.split()), f"side{i + 1}")
-            self._node(key, degree, rows, build)
+            self._node(key, degree, rows)
         self._exact[exact] = key
         return key
 
@@ -426,8 +426,10 @@ def evaluate_invariance_battery(
     value = Engine(max_nodes=max_nodes).evaluate(inst)
     variants: list[BatteryVariant] = []
     if inst.crossratios and inst.degree > 0:
-        for choice in resolution_choices(inst):
+        rows = label_rows(inst)
+        for pairing, choice in resolution_choices(inst):
             engine = Engine(max_nodes=max_nodes)
             engine._nodes = 1  # the root, valued under ``choice`` outside the memo
-            variants.append(BatteryVariant(choice[0], choice[1], engine._orbit_sum(inst, choice)))
+            value_of = engine._orbit_sum(inst.degree, rows, choice)
+            variants.append(BatteryVariant(choice[0], pairing, value_of))
     return BatteryReport(inst, value, tuple(variants))

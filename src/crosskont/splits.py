@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .conditions import (
     FREE,
@@ -33,6 +33,7 @@ from .conditions import (
     Pairing,
     Row,
     condition_row,
+    label_row,
 )
 
 ONE_ONE = "1/1"
@@ -119,7 +120,7 @@ class Orbit(NamedTuple):
     ``degrees``, ``crossratios`` (indices), ``kinds`` (points, lines and
     free ends) and :attr:`rows` are each side's, fresh end included:
     those of the sub-instances :func:`build_subinstances` builds from
-    :meth:`split`.  ``labels`` are the parent's.
+    any member.
     """
 
     kind: str
@@ -129,57 +130,38 @@ class Orbit(NamedTuple):
     crossratios: tuple[frozenset[int], frozenset[int]]
     kinds: tuple[tuple[int, int, int], tuple[int, int, int]]
     side_rows: Callable[[], tuple[dict[Row, int], dict[Row, int]]]
-    blocks: list[list[Label]]
-    pairing: Pairing
-    labels: frozenset[Label]
 
     @property
     def rows(self) -> tuple[dict[Row, int], dict[Row, int]]:
         """Each side's row counts, built on first use and then kept."""
         return self.side_rows()
 
-    def split(self, moved: Iterable[Label] | None = None) -> Split:
-        """The member with ``moved`` on side 1 (default: the first ``counts`` of each block)."""
-        if moved is None:
-            moved = itertools.chain(*(block[:k] for block, k in zip(self.blocks, self.counts)))
-        labels1 = frozenset(itertools.chain(self.pairing.first, moved))
-        sides = map(SplitSide, self.degrees, (labels1, self.labels - labels1), self.crossratios)
-        return Split(*sides, self.kind)
 
+def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Row]) -> list[Orbit]:
+    """The contributing splits of a class along cross-ratio ``last``, one :class:`Orbit` each.
 
-def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
-    """The contributing splits of ``inst`` along cross-ratio ``last``, one :class:`Orbit` each.
-
-    ``pairing`` groups that cross-ratio's entries, its first pair pinned
-    to side 1 and its second to side 2.  A split shares out the degree
-    and the other labels with deficiency vector (1, 1), (0, 2) or (2, 0);
-    a remaining cross-ratio follows the side holding at least three of
-    its entries, and two-two placements are dropped.  Labels with equal
-    condition and cross-ratio memberships form a block.  The blocks are
-    placed depth first, in lexicographic order of the counts, carrying
-    each remaining cross-ratio's entries and each kind's labels on side
-    1; a branch stops once a cross-ratio whose last block is placed
-    holds two.  Those counts route the cross-ratios, fix the degrees and
-    give both sides' kind counts, without label sets.  A side's rows
-    (its fresh end in the cross-ratios its side holds three entries of)
-    are built only when :attr:`Orbit.rows` is read.
+    The class has ``degree`` and the row counts ``rows``.  ``pinned``
+    holds the rows of that cross-ratio's four entries, side 1's pair
+    first, then side 2's.  A split shares out the degree and the other
+    labels with deficiency vector (1, 1), (0, 2) or (2, 0); a remaining
+    cross-ratio follows the side holding at least three of its entries,
+    and two-two placements are dropped.  The labels of each row off
+    column ``last`` form a block, in the order of ``rows``.  The blocks
+    are placed depth first, in lexicographic order of the counts,
+    carrying each remaining cross-ratio's entries and each kind's labels
+    on side 1; a branch stops once a cross-ratio whose last block is
+    placed holds two.  Those counts route the cross-ratios, fix the
+    degrees and give both sides' kind counts.  A side's rows (its fresh
+    end in the cross-ratios its side holds three entries of) are built
+    only when :attr:`Orbit.rows` is read.
     """
-    if pairing.entries != inst.crossratios[last].entries:
-        raise ValueError("pairing does not match the resolved cross-ratio")
-    crs = [cr.entries for cr in inst.crossratios]
-    others = [j for j in range(len(crs)) if j != last]
-    row_of = lambda x: condition_row(inst.conditions[x], tuple(x in cr for cr in crs))
-    grouped: dict[Row, list[Label]] = {}
-    for x in inst.labels:
-        if x not in crs[last]:
-            grouped.setdefault(row_of(x), []).append(x)
-    blocks = list(grouped.values())
-    labels = frozenset(inst.labels)
+    others = [j for j in range(len(pinned[0][2])) if j != last]
+    blocks = [(row, n) for row, n in rows.items() if not row[2][last]]
     # side 1's pinned pair, side 2's pinned pair, then one row per block
-    parent = [*map(row_of, (*pairing.first, *pairing.second)), *grouped]
+    parent = [*pinned, *(row for row, _ in blocks)]
     ranks = [rank for rank, _, _ in parent]
     members = [[i for i, j in enumerate(others) if vec[j]] for _, _, vec in parent]
-    sizes = [1, 1, 1, 1, *map(len, blocks)]
+    sizes = [1, 1, 1, 1, *(n for _, n in blocks)]
     taken = [1, 1, 0, 0, *(0 for _ in blocks)]  # side 1's share of each parent row
     near = [0] * len(others)  # entries of each remaining cross-ratio on side 1
     for i in members[0] + members[1]:
@@ -208,7 +190,7 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
         # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
         surplus = kinds[KIND_RANK[FREE]] - kinds[KIND_RANK[POINT]] - routed
         d1 = -(surplus // 3)
-        if not 0 <= d1 <= inst.degree:
+        if not 0 <= d1 <= degree:
             return
         delta = 3 * d1 + surplus
         kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
@@ -232,8 +214,8 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
                 built.append((rows1, rows2))
             return built[0]
 
-        sides = (d1, inst.degree - d1), crossratios, side_kinds, side_rows
-        orbits.append(Orbit(kind, weight, counts, *sides, blocks, pairing, labels))
+        sides = (d1, degree - d1), crossratios, side_kinds, side_rows
+        orbits.append(Orbit(kind, weight, counts, *sides))
 
     def place(b: int, weight: int) -> None:
         if b == len(blocks):
@@ -256,21 +238,34 @@ def orbit_rows(inst: Instance, last: int, pairing: Pairing) -> list[Orbit]:
 
 
 def orbit_members(inst: Instance, last: int, pairing: Pairing) -> Iterator[tuple[Split, Orbit]]:
-    """Each contributing split with its :class:`Orbit`, expanded one group of orbits at a time.
+    """Each contributing split of ``inst`` with its :class:`Orbit`, a group of orbits at a time.
 
-    Sorted by side 1's degree, then by the labels it takes beside the
-    pinned pair, fewest first, then in combination order; an orbit's
-    first member is its :meth:`Orbit.split`.
+    The orbits are :func:`orbit_rows` of the instance's rows; the labels
+    off cross-ratio ``last``, grouped by row in label order, fill the
+    blocks.  Sorted by side 1's degree, then by the labels it takes
+    beside the pinned pair, fewest first, then in combination order.
     """
+    if pairing.entries != inst.crossratios[last].entries:
+        raise ValueError("pairing does not match the resolved cross-ratio")
+    row = label_row(inst)
+    grouped: dict[Row, list[Label]] = {}
+    for x in inst.labels:
+        grouped.setdefault(row(x), []).append(x)
+    rows = {r: len(xs) for r, xs in grouped.items()}
+    orbits = orbit_rows(inst.degree, rows, last, [*map(row, (*pairing.first, *pairing.second))])
+    blocks = [xs for (_, _, vec), xs in grouped.items() if not vec[last]]
+    labels = frozenset(inst.labels)
     group = lambda orbit: (orbit.degrees[0], sum(orbit.counts))
-    for _, orbits in itertools.groupby(sorted(orbit_rows(inst, last, pairing), key=group), group):
+    for _, same in itertools.groupby(sorted(orbits, key=group), group):
         members = [
             (sorted(itertools.chain(*picks)), orbit)
-            for orbit in orbits
-            for picks in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts))
+            for orbit in same
+            for picks in itertools.product(*map(itertools.combinations, blocks, orbit.counts))
         ]
         for moved, orbit in sorted(members, key=lambda member: member[0]):
-            yield orbit.split(moved), orbit
+            labels1 = frozenset(itertools.chain(pairing.first, moved))
+            sides = map(SplitSide, orbit.degrees, (labels1, labels - labels1), orbit.crossratios)
+            yield Split(*sides, orbit.kind), orbit
 
 
 def enumerate_splits(inst: Instance, last: int, pairing: Pairing) -> list[Split]:

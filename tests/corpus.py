@@ -14,9 +14,10 @@ import json
 import random
 from pathlib import Path
 
-from crosskont import Instance, build_subinstances, canonical_key, validate
+from crosskont import Instance, Pairing, build_subinstances, canonical_key, validate
+from crosskont.conditions import label_row, label_rows
 from crosskont.engine import resolution_choices
-from crosskont.splits import orbit_rows
+from crosskont.splits import Split, SplitSide, orbit_rows
 
 SEED = 20260815
 SIZE = 64
@@ -123,8 +124,34 @@ def golden_instance(shape: dict) -> Instance:
     )
 
 
+def orbit_splits(inst: Instance, last: int, pairing: Pairing):
+    """Each orbit of ``inst`` under ``pairing`` with a representative split.
+
+    The orbits are those :func:`orbit_members` expands, in the order of
+    :func:`orbit_rows`; side 1 of the representative takes the first
+    labels of each block, labels off cross-ratio ``last`` with equal
+    rows.
+    """
+    row = label_row(inst)
+    blocks = {}
+    for x in inst.labels:
+        if x not in inst.crossratios[last]:
+            blocks.setdefault(row(x), []).append(x)
+    pinned = [row(x) for x in (*pairing.first, *pairing.second)]
+    labels = frozenset(inst.labels)
+    for orbit in orbit_rows(inst.degree, label_rows(inst), last, pinned):
+        moved = (block[:k] for block, k in zip(blocks.values(), orbit.counts))
+        labels1 = frozenset(pairing.first).union(*moved)
+        sides = map(SplitSide, orbit.degrees, (labels1, labels - labels1), orbit.crossratios)
+        yield Split(*sides, orbit.kind), orbit
+
+
 def split_nodes(inst: Instance):
-    """Every distinct instance the engine resolves below ``inst``, with its default choice."""
+    """Every distinct instance that resolves below ``inst``, with its (cross-ratio, pairing).
+
+    Each node takes the first of its :func:`resolution_choices`, as the
+    trace does, and its sides are built from each orbit's representative.
+    """
     nodes = {}
     stack = [inst]
     while stack:
@@ -132,11 +159,13 @@ def split_nodes(inst: Instance):
         key = canonical_key(node)
         if key in nodes or not node.crossratios or node.degree == 0:
             continue
-        choice = nodes[key] = (node, next(resolution_choices(node), None))
-        if choice[1] is not None:
-            last, pairing, _ = choice[1]
-            for orbit in orbit_rows(node, last, pairing):
-                pair = build_subinstances(node, orbit.split())
+        first = next(resolution_choices(node), None)
+        choice = None if first is None else (first[1][0], first[0])
+        nodes[key] = node, choice
+        if choice is not None:
+            last, pairing = choice
+            for split, _ in orbit_splits(node, last, pairing):
+                pair = build_subinstances(node, split)
                 stack += [pair.side1, pair.side2]
     return nodes.values()
 

@@ -102,7 +102,7 @@ def test_check_passes_on_six_lines_with_two_cross_ratios(capsys, tmp_path):
 
 
 def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
-    # eval-multi-92 needs 115 recursion nodes to evaluate and 301 to trace
+    # eval-multi-92 needs 122 recursion nodes to evaluate and 400 to trace
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
     shape = next(s for s in json.loads(golden.read_text())["shapes"] if s["id"] == "eval-multi-92")
     document = _instance_document(
@@ -117,10 +117,10 @@ def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
     code, full, err = run(capsys, "eval", "--trace", path)
     assert (code, err, full.splitlines()[-1]) == (0, "", str(shape["count"]))
     trace = full[: full.rindex("\n", 0, -1) + 1]
-    assert run(capsys, "eval", "--trace", "--max-nodes", "301", path) == (0, full, "")
-    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "300", path)
+    assert run(capsys, "eval", "--trace", "--max-nodes", "400", path) == (0, full, "")
+    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "399", path)
     assert code == 1
-    assert err.startswith("error: more than 300 recursion nodes ")
+    assert err.startswith("error: more than 399 recursion nodes ")
     assert err.count("\n") == 1
     assert 0 < len(out) < len(trace)
     assert trace.startswith(out)
@@ -535,8 +535,8 @@ def test_check_prints_the_mismatch_of_a_disagreeing_root_choice(capsys, tmp_path
 
     def with_one_more(inst):
         choices = list(listed(inst))
-        last, pairing, _ = choices[-1]
-        return iter([*choices, (last, pairing, ())])
+        pairing, (last, pinned, _) = choices[-1]
+        return iter([*choices, (pairing, (last, pinned, ()))])
 
     monkeypatch.setattr("crosskont.engine.resolution_choices", with_one_more)
     lines = [{"label": x, "weight": 1} for x in range(1, 6)]

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from crosskont import (
     Instance,
+    Pairing,
     ResourceLimitError,
     ValidationError,
-    admissible_line_pair,
     evaluate,
     evaluate_invariance_battery,
     kontsevich,
@@ -36,14 +36,9 @@ from crosskont.engine import (
     base_no_crossratios,
     resolution_choices,
 )
+from crosskont import engine as engine_module
 from crosskont.resolution import VertexProfile, cross_ratio_multiplicity
-from crosskont.splits import (
-    ONE_ONE,
-    TWO_ZERO_SIDE1_FIXED,
-    build_subinstances,
-    orbit_members,
-    orbit_rows,
-)
+from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, build_subinstances, orbit_members
 
 from corpus import (
     CORPUS,
@@ -51,6 +46,7 @@ from corpus import (
     golden_eval_multi_shapes,
     golden_instance,
     one_cross_ratio_family,
+    orbit_splits,
     split_nodes,
 )
 
@@ -152,9 +148,8 @@ def _degree_zero_sides(inst: Instance):
     """Each degree-zero side that :func:`split_nodes` builds below ``inst``."""
     for node, choice in split_nodes(inst):
         if choice is not None:
-            last, pairing, _ = choice
-            for orbit in orbit_rows(node, last, pairing):
-                pair = build_subinstances(node, orbit.split())
+            for split, _ in orbit_splits(node, *choice):
+                pair = build_subinstances(node, split)
                 yield from (sub for sub in (pair.side1, pair.side2) if sub.degree == 0)
 
 
@@ -224,11 +219,16 @@ def test_admissible_line_pair_blocks_tied_groupings():
         crossratios=[[1, 2, 3, 4], [1, 2, 3, 5]],
     )
     # grouping two labels the other cross-ratio also holds, with its
-    # remaining entries both multi lines, starves the far side
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        assert not admissible_line_pair(inst, 1, a, b)
-    for a, b in ((1, 5), (2, 5), (3, 5)):
-        assert admissible_line_pair(inst, 1, a, b)
+    # remaining entries both multi lines, starves the far side: of the
+    # pairs of cr{1,2,3,5}, only those with 5 are kept
+    kept = [
+        [(pairing.first, pairing.second)[k] for k in choice[2]]
+        for pairing, choice in resolution_choices(inst)
+        if choice[0] == 1
+    ]
+    assert kept == [[(1, 5)], [(2, 5)], [(3, 5)]]
+    pairings = [pairing for pairing, choice in resolution_choices(inst) if choice[0] == 1]
+    assert pairings == [Pairing.of((1, 5), (2, 3)), Pairing.of((1, 3), (2, 5)), Pairing.of((1, 2), (3, 5))]
 
 
 @pytest.mark.parametrize(
@@ -371,11 +371,11 @@ def _check_isolates(inst) -> int:
     """Compare both rules on every split of every no-point resolution of ``inst`` and below."""
     checked = 0
     for node in [inst, *(node for node, _ in split_nodes(inst))]:
-        for last, pairing, line_pairs in resolution_choices(node):
-            if line_pairs is not None:
+        for pairing, (last, _, kept) in resolution_choices(node):
+            if kept is not None:
+                pairs = [(pairing.first, pairing.second)[k] for k in kept]
                 for split, orbit in orbit_members(node, last, pairing):
-                    by_labels = _isolates_by_labels(node, split, line_pairs)
-                    assert _isolates(orbit, line_pairs) == by_labels
+                    assert _isolates(orbit, kept) == _isolates_by_labels(node, split, pairs)
                     checked += 1
     return checked
 
@@ -486,8 +486,7 @@ def test_orbit_splits_match_label_level_splits_on_the_golden_shapes(shape):
 def _check_orbit_rows(inst, last, pairing) -> int:
     """Compare each side's rows with the sub-instance built for it; return the sides seen."""
     sides = 0
-    for orbit in orbit_rows(inst, last, pairing):
-        split = orbit.split()
+    for split, orbit in orbit_splits(inst, last, pairing):
         pair = build_subinstances(inst, split)
         shares = zip((split.side1, split.side2), orbit.degrees, orbit.crossratios, orbit.rows)
         for (side, degree, crossratios, rows), sub in zip(shares, (pair.side1, pair.side2)):
@@ -520,17 +519,17 @@ def test_side_rows_match_the_built_sub_instances_on_the_family(degree):
 def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
     for node, choice in split_nodes(golden_instance(shape)):
         if choice is not None:
-            last, pairing, _ = choice
-            _check_orbit_rows(node, last, pairing)
+            _check_orbit_rows(node, *choice)
 
 
-# Engine()._nodes after evaluate, as recorded once orbits with a side the
-# base rule values 0 were no longer summed (1,287 classes before, 704 after).
+# Engine()._nodes after evaluate, as recorded once every class was resolved
+# from its rows (1,287 classes before the zero-orbit skip, 704 after it, 716
+# now).
 GOLDEN_NODES = {
-    "eval-multi-1": 30, "eval-multi-36": 14, "eval-multi-14": 25, "eval-multi-12": 35,
-    "eval-multi-19": 40, "eval-multi-43": 25, "eval-multi-37": 55, "eval-multi-72": 16,
-    "eval-multi-40": 78, "eval-multi-5": 24, "eval-multi-67": 42, "eval-multi-4": 79,
-    "eval-multi-48": 62, "eval-multi-92": 115, "eval-multi-110": 15, "eval-multi-2": 49,
+    "eval-multi-1": 26, "eval-multi-36": 18, "eval-multi-14": 24, "eval-multi-12": 34,
+    "eval-multi-19": 42, "eval-multi-43": 29, "eval-multi-37": 68, "eval-multi-72": 12,
+    "eval-multi-40": 73, "eval-multi-5": 26, "eval-multi-67": 51, "eval-multi-4": 75,
+    "eval-multi-48": 59, "eval-multi-92": 122, "eval-multi-110": 15, "eval-multi-2": 42,
 }
 
 
@@ -541,22 +540,29 @@ def test_node_count_is_pinned_on_the_golden_shapes(shape):
     assert engine._nodes == GOLDEN_NODES[shape["id"]]
 
 
-@pytest.mark.parametrize("degree, nodes", [(2, 5), (3, 7), (4, 9), (5, 11)])
+# Engine()._nodes of the family at d = 2..5, by line weights: 2 d + 1 for
+# both while the root resolved (p1 p2 | a b) by label order; from its rows
+# it resolves (p1 a | p2 b).
+FAMILY_NODES = {(1, 1): [2, 3, 4, 5], (2, 3): [3, 5, 7, 9]}
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
 @pytest.mark.parametrize("weights", [(1, 1), (2, 3)])
-def test_node_count_is_pinned_on_the_family(degree, nodes, weights):
+def test_node_count_is_pinned_on_the_family(degree, weights):
     engine = Engine()
     engine.evaluate(one_cross_ratio_family(degree, *weights))
-    assert engine._nodes == nodes
+    assert engine._nodes == FAMILY_NODES[weights][degree - 2]
 
 
 def test_trace_values_the_classes_the_evaluation_skips():
-    # The trace walks the orbits the evaluation skips too, valuing their
-    # classes lazily: eval-multi-92 values 115 classes, its trace 301.
+    # The trace walks the orbits the evaluation skips too, and resolves each
+    # node by its labels, valuing the classes it meets lazily: eval-multi-92
+    # values 122 classes, its trace 400.
     shape = next(s for s in golden_eval_multi_shapes() if s["id"] == "eval-multi-92")
     engine = Engine()
     lines = list(engine.trace(golden_instance(shape)))
     assert lines[-1] == f"  = {shape['count']}"
-    assert engine._nodes == 301
+    assert engine._nodes == 400
 
 
 def _check_skipped_orbits(inst) -> int:
@@ -564,8 +570,8 @@ def _check_skipped_orbits(inst) -> int:
     skipped = 0
     for node, choice in split_nodes(inst):
         if choice is not None:
-            for orbit in orbit_rows(node, choice[0], choice[1]):
-                pair = build_subinstances(node, orbit.split())
+            for split, orbit in orbit_splits(node, *choice):
+                pair = build_subinstances(node, split)
                 subs = (pair.side1, pair.side2)
                 kinds = tuple((len(sub.points), len(sub.lines), len(sub.free)) for sub in subs)
                 assert orbit.kinds == kinds
@@ -639,15 +645,16 @@ def _multi(degree: int, r: int) -> Instance:
     )
 
 
-def _resolve_in_reverse(monkeypatch) -> list[Instance]:
-    """Make every node take the last of its resolution choices; return the nodes asking."""
+def _resolve_in_reverse(monkeypatch) -> list[dict]:
+    """Make every node take the last of its resolution choices; return the rows asking."""
     calls = []
+    row_choices = engine_module._row_choices
 
-    def reversed_choices(inst):
-        calls.append(inst)
-        return reversed(list(resolution_choices(inst)))
+    def reversed_choices(rows):
+        calls.append(rows)
+        return reversed(list(row_choices(rows)))
 
-    monkeypatch.setattr("crosskont.engine.resolution_choices", reversed_choices)
+    monkeypatch.setattr(engine_module, "_row_choices", reversed_choices)
     return calls
 
 
@@ -665,11 +672,12 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("reverse, nodes", [(False, 740), (True, 508)])
+@pytest.mark.parametrize("reverse, nodes", [(False, 606), (True, 535)])
 def test_frontier_count_and_node_count_are_pinned(monkeypatch, reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
-    # count-only orbit kernel, the node counts once orbits with a side worth 0
-    # were no longer summed (1,046 and 682 before).
+    # count-only orbit kernel, the node counts once every class was resolved
+    # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
+    # after it).
     if reverse:
         _resolve_in_reverse(monkeypatch)
     engine = Engine()
@@ -753,3 +761,23 @@ def test_count_is_multilinear_in_line_weights(data):
         inst.crossratios,
     )
     assert evaluate(scaled) == factor * evaluate(inst)
+
+
+def test_evaluation_builds_no_instance_below_the_root(monkeypatch):
+    # Every class below the root is valued from its degree and rows alone.
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), _multi(7, 6)]
+    built = []
+    init = Instance.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    def no_sides(inst, split):
+        raise AssertionError("a sub-instance was built")
+
+    monkeypatch.setattr(Instance, "__post_init__", counting_init)
+    monkeypatch.setattr(engine_module, "build_subinstances", no_sides)
+    for inst in roots:
+        Engine().evaluate(inst)
+    assert built == []

@@ -28,7 +28,6 @@ from crosskont.splits import (
     Split,
     SplitSide,
     orbit_members,
-    orbit_rows,
     route_groups,
 )
 
@@ -38,6 +37,7 @@ from corpus import (
     golden_eval_multi_shapes,
     golden_instance,
     one_cross_ratio_family,
+    orbit_splits,
     split_nodes,
 )
 
@@ -204,15 +204,14 @@ def test_split_orbits_group_the_label_level_splits():
     for inst in CORPUS:
         for last in range(len(inst.crossratios)):
             for pairing in all_pairings(inst.crossratios[last]):
-                orbits = orbit_rows(inst, last, pairing)
+                orbits = list(orbit_splits(inst, last, pairing))
                 splits = enumerate_splits(inst, last, pairing)
-                assert sum(orbit.weight for orbit in orbits) == len(splits)
+                assert sum(orbit.weight for _, orbit in orbits) == len(splits)
                 members = defaultdict(list)
                 for split in splits:
                     members[_side1_counts(inst, last, split)].append(split)
                 assert len(members) == len(orbits)
-                for orbit in orbits:
-                    rep = orbit.split()
+                for rep, orbit in orbits:
                     expanded = members[_side1_counts(inst, last, rep)]
                     assert rep in expanded
                     assert len(set(expanded)) == len(expanded) == orbit.weight
@@ -289,6 +288,16 @@ def test_split_sides_partition_the_labels(data):
         assert CONTRIBUTING[deficiencies(inst, split.side1, split.side2)] == split.kind
 
 
+def _blocks(inst: Instance, last: int) -> list[list[int]]:
+    """The labels outside cross-ratio ``last``, blocked by condition and memberships."""
+    blocks: dict = {}
+    for x in inst.labels:
+        if x not in inst.crossratios[last]:
+            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
+            blocks.setdefault(key, []).append(x)
+    return list(blocks.values())
+
+
 def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
     """Reference orbits from label sets: every vector of block counts, filtered afterwards.
 
@@ -299,12 +308,7 @@ def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
     built sub-instances.  Returns (kind, degrees, weight, counts,
     cross-ratios, rows, labels) per orbit, in product order.
     """
-    blocks: dict = {}
-    for x in inst.labels:
-        if x not in inst.crossratios[last]:
-            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
-            blocks.setdefault(key, []).append(x)
-    blocks = list(blocks.values())
+    blocks = _blocks(inst, last)
     others = [j for j in range(len(inst.crossratios)) if j != last]
     groups = [inst.crossratios[j].entries for j in others]
     found = []
@@ -329,8 +333,7 @@ def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
 
 def _kernel_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
     found = []
-    for orbit in orbit_rows(inst, last, pairing):
-        split = orbit.split()
+    for split, orbit in orbit_splits(inst, last, pairing):
         assert (split.side1.degree, split.side2.degree) == orbit.degrees
         assert (split.side1.crossratios, split.side2.crossratios) == orbit.crossratios
         labels = (split.side1.labels, split.side2.labels)
@@ -366,8 +369,7 @@ def test_orbit_kernel_matches_the_product_loop_on_the_golden_split_nodes(shape):
     checked = 0
     for node, choice in split_nodes(golden_instance(shape)):
         if choice is not None:
-            last, pairing, _ = choice
-            _check_kernel(node, last, pairing)
+            _check_kernel(node, *choice)
             checked += 1
     assert checked
 
@@ -380,10 +382,11 @@ def product_splits(inst: Instance, last: int, pairing: Pairing) -> Iterator[Spli
     runs on these keys (and the orbit's index); each split is built as
     it is yielded.
     """
-    orbits = orbit_rows(inst, last, pairing)
+    orbits = [orbit for _, orbit in orbit_splits(inst, last, pairing)]
+    blocks = _blocks(inst, last)
     keys = []
     for i, orbit in enumerate(orbits):
-        for chosen in itertools.product(*map(itertools.combinations, orbit.blocks, orbit.counts)):
+        for chosen in itertools.product(*map(itertools.combinations, blocks, orbit.counts)):
             moved = tuple(sorted(itertools.chain(*chosen)))
             keys.append((orbit.degrees[0], len(moved), moved, i))
     keys.sort()
@@ -398,11 +401,12 @@ def _check_members(inst: Instance, last: int, pairing: Pairing) -> int:
     """Compare the lazy expansion with :func:`product_splits`, order included; return its length."""
     expected = product_splits(inst, last, pairing)
     pairs = itertools.zip_longest(orbit_members(inst, last, pairing), expected)
+    blocks = _blocks(inst, last)
     n = 0
     for n, (member, want) in enumerate(pairs, 1):
         assert member is not None and member[0] == want
         split, orbit = member
-        assert tuple(len(split.side1.labels.intersection(b)) for b in orbit.blocks) == orbit.counts
+        assert tuple(len(split.side1.labels.intersection(b)) for b in blocks) == orbit.counts
     return n
 
 
@@ -431,7 +435,6 @@ def test_orbit_members_keep_the_product_order_on_the_golden_split_nodes(shape):
     checked = 0
     for node, choice in split_nodes(golden_instance(shape)):
         if choice is not None:
-            last, pairing, _ = choice
-            _check_members(node, last, pairing)
+            _check_members(node, *choice)
             checked += 1
     assert checked

@@ -52,12 +52,12 @@ def classes(degree: int, points: int, lines: int, free: int, r: int) -> list[Ins
 
 def reverse_counts(instances: list[Instance]) -> list[int]:
     """The counts with every node resolved by the last of its choices."""
-    listed = engine.resolution_choices
-    engine.resolution_choices = lambda inst: reversed(list(listed(inst)))
+    listed = engine._row_choices
+    engine._row_choices = lambda rows: reversed(list(listed(rows)))
     try:
         return [evaluate(inst) for inst in instances]
     finally:
-        engine.resolution_choices = listed
+        engine._row_choices = listed
 
 
 def sweep(name: str) -> str:
