@@ -191,8 +191,8 @@ def _grow(
         below1 = frozenset().union(*(leaves_of[s] for s in child1.slots - {new_slot}))
         below2 = frozenset().union(*(leaves_of[s] for s in child2.slots - {new_slot}))
         split = below2 if anchor in below1 else below1
-        left = _grow(child1, dict(leaves_of) | {new_slot: below2}, pairings, order, anchor)
-        right = _grow(child2, dict(leaves_of) | {new_slot: below1}, pairings, order, anchor)
+        left = _grow(child1, leaves_of | {new_slot: below2}, pairings, order, anchor)
+        right = _grow(child2, leaves_of | {new_slot: below1}, pairings, order, anchor)
         for splits1, edges1 in left:
             for splits2, edges2 in right:
                 results.append(
