@@ -221,14 +221,13 @@ def test_admissible_line_pair_blocks_tied_groupings():
     # grouping two labels the other cross-ratio also holds, with its
     # remaining entries both multi lines, starves the far side: of the
     # pairs of cr{1,2,3,5}, only those with 5 are kept
-    kept = [
-        [(pairing.first, pairing.second)[k] for k in choice[2]]
-        for pairing, choice in resolution_choices(inst)
-        if choice[0] == 1
+    choices = resolution_choices(inst)
+    resolved = [(pairing, kept) for pairing, (last, _, kept) in choices if last == 1]
+    assert [pairing for pairing, _ in resolved] == [
+        Pairing.of((1, 5), (2, 3)), Pairing.of((1, 3), (2, 5)), Pairing.of((1, 2), (3, 5))
     ]
+    kept = [[(pairing.first, pairing.second)[k] for k in kept] for pairing, kept in resolved]
     assert kept == [[(1, 5)], [(2, 5)], [(3, 5)]]
-    pairings = [pairing for pairing, choice in resolution_choices(inst) if choice[0] == 1]
-    assert pairings == [Pairing.of((1, 5), (2, 3)), Pairing.of((1, 3), (2, 5)), Pairing.of((1, 2), (3, 5))]
 
 
 @pytest.mark.parametrize(
@@ -685,7 +684,9 @@ def test_frontier_count_and_node_count_are_pinned(monkeypatch, reverse, nodes):
     assert engine._nodes == nodes
 
 
-def _weight_one_classes(degree: int, points: int, lines: int, r: int, free: int = 0) -> list[Instance]:
+def _weight_one_classes(
+    degree: int, points: int, lines: int, r: int, free: int = 0
+) -> list[Instance]:
     """One instance per class up to relabelling: weight-1 lines, r distinct cross-ratios."""
     labels = range(1, points + lines + free + 1)
     classes = {}
@@ -717,11 +718,13 @@ def _shape(degree, points, lines, r, classes, free=0):
         _shape(2, 1, 6, 4, 163),
     ],
 )
-def test_every_root_choice_agrees_on_every_weight_one_class(degree, points, lines, r, classes, free):
+def test_every_root_choice_agrees_on_every_weight_one_class(
+    degree, points, lines, r, classes, free
+):
     # Exhaustive over the weight-1 shapes: without points, with a free end
     # (kept where it meets a line, see resolution_choices) and with a point.
     # d = 2, 2 points, 4 lines, a free end and r = 4 (1,553 classes, about
-    # 20 s) agrees too; tools/choice_sweep.py runs it.
+    # 25 s) agrees too; tools/choice_sweep.py runs it.
     found = _weight_one_classes(degree, points, lines, r, free)
     assert len(found) == classes
     assert [inst for inst in found if not evaluate_invariance_battery(inst).ok] == []
