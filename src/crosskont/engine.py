@@ -220,10 +220,12 @@ def _isolates(orbit: Orbit, kept: tuple[int, ...]) -> bool:
     """Whether the orbit isolates a ``kept`` pinned pair on a degree-zero side.
 
     A 2/0 orbit counts when its fixed side has degree 0, holds a kept
-    pair and exactly two lines.  A 1/1 orbit counts when a side holding
-    a kept pair has degree 0 and is the star {L, f, e}: a line, a free
-    end and the fresh line end, the free point sitting on the curve's
-    line end where it meets L.
+    pair and exactly two lines: the curve passes where they meet, L1 ∩ L2
+    for a line pair, L ∩ L' for a line L, a free end f and a line L' from
+    off the cross-ratio, with f's point there.  A 1/1 orbit counts when
+    a side holding a kept pair has degree 0 and is the star {L, f, e}: a
+    line, a free end and the fresh line end, the free point sitting on
+    the curve's line end where it meets L.
     """
     if orbit.kind == ONE_ONE:
         return any(not orbit.degrees[i] and orbit.kinds[i] == (0, 2, 1) for i in kept)

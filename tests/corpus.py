@@ -9,12 +9,14 @@ three cross-ratios, three multi lines and two free ends).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import random
 from pathlib import Path
+from typing import Iterator
 
-from crosskont import Instance, Pairing, build_subinstances, canonical_key, validate
+from crosskont import Instance, Pairing, build_subinstances, canonical_key, engine, validate
 from crosskont.conditions import label_row, label_rows
 from crosskont.engine import resolution_choices
 from crosskont.splits import Split, SplitSide, orbit_rows
@@ -124,23 +126,64 @@ def golden_instance(shape: dict) -> Instance:
     )
 
 
+def weight_one_classes(
+    degree: int, points: int, lines: int, r: int, free: int = 0
+) -> list[Instance]:
+    """One instance per class up to relabelling: weight-1 lines, r distinct cross-ratios."""
+    labels = range(1, points + lines + free + 1)
+    classes = {}
+    for crossratios in itertools.combinations(itertools.combinations(labels, 4), r):
+        inst = Instance.build(
+            degree,
+            points=labels[:points],
+            lines={x: 1 for x in labels[points : points + lines]},
+            free=labels[points + lines :],
+            crossratios=crossratios,
+        )
+        classes.setdefault(canonical_key(inst), inst)
+    return list(classes.values())
+
+
+@contextlib.contextmanager
+def resolved_in_reverse() -> Iterator[list[dict]]:
+    """Make every node take the last of its resolution choices; yield the rows asking."""
+    calls = []
+    row_choices = engine._row_choices
+
+    def reversed_choices(rows):
+        calls.append(rows)
+        return reversed(list(row_choices(rows)))
+
+    engine._row_choices = reversed_choices
+    try:
+        yield calls
+    finally:
+        engine._row_choices = row_choices
+
+
+def label_blocks(inst: Instance, last: int) -> list[list[int]]:
+    """The labels off cross-ratio ``last`` grouped by row in label order: the blocks of orbit_rows."""
+    row = label_row(inst)
+    blocks: dict = {}
+    for x in inst.labels:
+        if x not in inst.crossratios[last]:
+            blocks.setdefault(row(x), []).append(x)
+    return list(blocks.values())
+
+
 def orbit_splits(inst: Instance, last: int, pairing: Pairing):
     """Each orbit of ``inst`` under ``pairing`` with a representative split.
 
     The orbits are those :func:`orbit_members` expands, in the order of
     :func:`orbit_rows`; side 1 of the representative takes the first
-    labels of each block, labels off cross-ratio ``last`` with equal
-    rows.
+    labels of each of the :func:`label_blocks`.
     """
+    blocks = label_blocks(inst, last)
     row = label_row(inst)
-    blocks = {}
-    for x in inst.labels:
-        if x not in inst.crossratios[last]:
-            blocks.setdefault(row(x), []).append(x)
     pinned = [row(x) for x in (*pairing.first, *pairing.second)]
     labels = frozenset(inst.labels)
     for orbit in orbit_rows(inst.degree, label_rows(inst), last, pinned):
-        moved = (block[:k] for block, k in zip(blocks.values(), orbit.counts))
+        moved = (block[:k] for block, k in zip(blocks, orbit.counts))
         labels1 = frozenset(pairing.first).union(*moved)
         sides = map(SplitSide, orbit.degrees, (labels1, labels - labels1), orbit.crossratios)
         yield Split(*sides, orbit.kind), orbit

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import itertools
@@ -47,7 +48,9 @@ from corpus import (
     golden_instance,
     one_cross_ratio_family,
     orbit_splits,
+    resolved_in_reverse,
     split_nodes,
+    weight_one_classes,
 )
 
 WORKED = Instance.build(
@@ -251,6 +254,38 @@ def test_lines_with_two_cross_ratios_count_as_classically(crossratios, count):
 
 
 @pytest.mark.parametrize(
+    "lines, crossratios, count",
+    [
+        (5, [[1, 2, 3, 6], [1, 2, 4, 6], [1, 3, 5, 6]], 1),
+        (5, [[1, 2, 3, 6], [1, 2, 4, 6], [3, 4, 5, 6]], 1),
+        (6, [[1, 2, 3, 4], [1, 2, 5, 7], [1, 2, 6, 7]], 2),
+        (6, [[1, 2, 3, 4], [1, 2, 5, 7], [1, 3, 6, 7]], 2),
+        (6, [[1, 2, 3, 4], [1, 2, 5, 7], [1, 5, 6, 7]], 2),
+        (6, [[1, 2, 3, 4], [1, 2, 5, 7], [3, 5, 6, 7]], 3),
+        (6, [[1, 2, 3, 4], [1, 5, 6, 7], [2, 5, 6, 7]], 2),
+        (6, [[1, 2, 3, 7], [1, 2, 4, 7], [1, 3, 5, 7]], 1),
+        (6, [[1, 2, 3, 7], [1, 2, 4, 7], [1, 5, 6, 7]], 2),
+        (6, [[1, 2, 3, 7], [1, 2, 4, 7], [3, 4, 5, 7]], 1),
+        (6, [[1, 2, 3, 7], [1, 2, 4, 7], [3, 5, 6, 7]], 2),
+        (6, [[1, 2, 3, 7], [1, 4, 5, 7], [2, 4, 6, 7]], 3),
+    ],
+)
+def test_a_free_end_at_two_lines_counts_as_classically(lines, crossratios, count):
+    # d = 1, weight-1 lines and one free end: the classes where some choice
+    # keeps a 2/0 orbit whose degree-zero side holds a kept pair of a line L
+    # and the free end f with a second line L' (see _isolates). Counted
+    # classically with l: y = m x + c; line i marks [k_i - c : m - s_i] on l
+    # and f marks [t : 1]. Random rational lines and cross-ratio values, two
+    # draws, t eliminated, the resultant in m solved at 60 digits, and only
+    # roots with distinct marked points kept. Letting one cross-ratio grow,
+    # solutions converge to curves through L ∩ L' with the free point there.
+    weights = dict.fromkeys(range(1, lines + 1), 1)
+    inst = Instance.build(1, lines=weights, free=[lines + 1], crossratios=crossratios)
+    assert evaluate(inst) == count
+    assert evaluate_invariance_battery(inst).ok
+
+
+@pytest.mark.parametrize(
     "lines, crossratio, count", [((2, 3, 4), [1, 2, 3, 4], 1), ((2, 3, 4, 5), [2, 3, 4, 5], 2)]
 )
 def test_lines_through_a_point_count_as_classically(lines, crossratio, count):
@@ -381,7 +416,7 @@ def _check_isolates(inst) -> int:
 
 def test_isolation_by_counts_matches_the_label_rule():
     shapes = [(1, 0, 6, 2), (1, 0, 7, 2), (2, 2, 5, 3), (1, 0, 5, 3, 1)]
-    classes = [_weight_one_classes(*shape) for shape in shapes]
+    classes = [weight_one_classes(*shape) for shape in shapes]
     crossratios = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5, 6]]
     lines = dict.fromkeys(range(1, 6), 1)
     free_end = Instance.build(1, lines=lines, free=[6], crossratios=crossratios)
@@ -644,62 +679,30 @@ def _multi(degree: int, r: int) -> Instance:
     )
 
 
-def _resolve_in_reverse(monkeypatch) -> list[dict]:
-    """Make every node take the last of its resolution choices; return the rows asking."""
-    calls = []
-    row_choices = engine_module._row_choices
-
-    def reversed_choices(rows):
-        calls.append(rows)
-        return reversed(list(row_choices(rows)))
-
-    monkeypatch.setattr(engine_module, "_row_choices", reversed_choices)
-    return calls
-
-
-def test_counts_hold_with_every_node_resolved_in_reverse_order(monkeypatch):
+def test_counts_hold_with_every_node_resolved_in_reverse_order():
     # The battery varies the root's choice only; this varies it at every node.
     multi = _multi(7, 6)
     assert evaluate(multi) == 1_994_058
     sample = _free_end_sample(60, seed=7)
     counts = [evaluate(inst) for inst in sample]
-    calls = _resolve_in_reverse(monkeypatch)
-    for shape in golden_eval_multi_shapes():
-        assert evaluate(golden_instance(shape)) == shape["count"], shape["id"]
-    assert evaluate(multi) == 1_994_058
-    assert [evaluate(inst) for inst in sample] == counts
+    with resolved_in_reverse() as calls:
+        for shape in golden_eval_multi_shapes():
+            assert evaluate(golden_instance(shape)) == shape["count"], shape["id"]
+        assert evaluate(multi) == 1_994_058
+        assert [evaluate(inst) for inst in sample] == counts
     assert calls
 
 
 @pytest.mark.parametrize("reverse, nodes", [(False, 606), (True, 535)])
-def test_frontier_count_and_node_count_are_pinned(monkeypatch, reverse, nodes):
+def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
     # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
     # after it).
-    if reverse:
-        _resolve_in_reverse(monkeypatch)
     engine = Engine()
-    assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
+    with resolved_in_reverse() if reverse else contextlib.nullcontext():
+        assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
     assert engine._nodes == nodes
-
-
-def _weight_one_classes(
-    degree: int, points: int, lines: int, r: int, free: int = 0
-) -> list[Instance]:
-    """One instance per class up to relabelling: weight-1 lines, r distinct cross-ratios."""
-    labels = range(1, points + lines + free + 1)
-    classes = {}
-    for crossratios in itertools.combinations(itertools.combinations(labels, 4), r):
-        inst = Instance.build(
-            degree,
-            points=labels[:points],
-            lines={x: 1 for x in labels[points : points + lines]},
-            free=labels[points + lines :],
-            crossratios=crossratios,
-        )
-        classes.setdefault(canonical_key(inst), inst)
-    return list(classes.values())
 
 
 def _shape(degree, points, lines, r, classes, free=0):
@@ -725,9 +728,19 @@ def test_every_root_choice_agrees_on_every_weight_one_class(
     # (kept where it meets a line, see resolution_choices) and with a point.
     # d = 2, 2 points, 4 lines, a free end and r = 4 (1,553 classes, about
     # 25 s) agrees too; tools/choice_sweep.py runs it.
-    found = _weight_one_classes(degree, points, lines, r, free)
+    found = weight_one_classes(degree, points, lines, r, free)
     assert len(found) == classes
     assert [inst for inst in found if not evaluate_invariance_battery(inst).ok] == []
+
+
+def test_five_lines_and_a_free_end_count_one_vertex_of_six_slots():
+    # With five lines fixed, a line and a point on it map birationally onto
+    # M_0,6 (two conics through L1*, L2*, L3* meet once more in the dual
+    # plane), so d = 1 counts the cross-ratio degree of the six marked points.
+    for inst in weight_one_classes(1, 0, 5, 3, 1):
+        crossratios = [sorted(cr.entries) for cr in inst.crossratios]
+        vertex = VertexProfile.of(sorted(inst.labels), crossratios)
+        assert evaluate(inst) == cross_ratio_multiplicity(vertex), crossratios
 
 
 def test_a_weighted_free_end_class_agrees_and_scales_by_its_weights():

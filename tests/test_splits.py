@@ -36,6 +36,7 @@ from corpus import (
     SMALL,
     golden_eval_multi_shapes,
     golden_instance,
+    label_blocks,
     one_cross_ratio_family,
     orbit_splits,
     split_nodes,
@@ -288,27 +289,17 @@ def test_split_sides_partition_the_labels(data):
         assert CONTRIBUTING[deficiencies(inst, split.side1, split.side2)] == split.kind
 
 
-def _blocks(inst: Instance, last: int) -> list[list[int]]:
-    """The labels outside cross-ratio ``last``, blocked by condition and memberships."""
-    blocks: dict = {}
-    for x in inst.labels:
-        if x not in inst.crossratios[last]:
-            key = (inst.conditions[x], tuple(x in cr for cr in inst.crossratios))
-            blocks.setdefault(key, []).append(x)
-    return list(blocks.values())
-
-
 def product_orbits(inst: Instance, last: int, pairing: Pairing) -> list[tuple]:
     """Reference orbits from label sets: every vector of block counts, filtered afterwards.
 
-    Blocks the labels outside the resolved cross-ratio by condition and
-    memberships, tries the product of ``range(block size + 1)``, builds
+    Blocks the labels outside the resolved cross-ratio by row
+    (:func:`label_blocks`), tries the product of ``range(block size + 1)``, builds
     side 1's labels, routes the other cross-ratios with ``route_groups``,
     keeps each contributing degree and reads both sides' rows off the
     built sub-instances.  Returns (kind, degrees, weight, counts,
     cross-ratios, rows, labels) per orbit, in product order.
     """
-    blocks = _blocks(inst, last)
+    blocks = label_blocks(inst, last)
     others = [j for j in range(len(inst.crossratios)) if j != last]
     groups = [inst.crossratios[j].entries for j in others]
     found = []
@@ -383,7 +374,7 @@ def product_splits(inst: Instance, last: int, pairing: Pairing) -> Iterator[Spli
     it is yielded.
     """
     orbits = [orbit for _, orbit in orbit_splits(inst, last, pairing)]
-    blocks = _blocks(inst, last)
+    blocks = label_blocks(inst, last)
     keys = []
     for i, orbit in enumerate(orbits):
         for chosen in itertools.product(*map(itertools.combinations, blocks, orbit.counts)):
@@ -401,7 +392,7 @@ def _check_members(inst: Instance, last: int, pairing: Pairing) -> int:
     """Compare the lazy expansion with :func:`product_splits`, order included; return its length."""
     expected = product_splits(inst, last, pairing)
     pairs = itertools.zip_longest(orbit_members(inst, last, pairing), expected)
-    blocks = _blocks(inst, last)
+    blocks = label_blocks(inst, last)
     n = 0
     for n, (member, want) in enumerate(pairs, 1):
         assert member is not None and member[0] == want

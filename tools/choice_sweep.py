@@ -4,82 +4,52 @@ For each shape below, every class up to relabelling (weight-1 lines,
 distinct cross-ratios) is counted three ways: by default, under every
 root choice of ``evaluate_invariance_battery``, and with every node
 taking the last of its choices instead of the first.  Prints one line
-per shape: its name, the number of classes, how many have a root choice
-that disagrees, how many change in reverse order, and the seconds taken::
+per shape, A to D: its name, the number of classes, how many have a
+root choice that disagrees, how many change in reverse order, and the
+seconds taken::
 
-    python3 tools/choice_sweep.py          # shapes A, B, C and D
-    python3 tools/choice_sweep.py A C      # only some of them
+    python3 tools/choice_sweep.py
 
-D takes about 20 s; the tests sweep A, B and C.
+D takes about 25 s; the tests sweep A, B and C.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from pathlib import Path
 
-sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src")]
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from crosskont import Instance, canonical_key, evaluate, evaluate_invariance_battery  # noqa: E402
-from crosskont import engine  # noqa: E402
+from corpus import resolved_in_reverse, weight_one_classes  # noqa: E402
+from crosskont import evaluate, evaluate_invariance_battery  # noqa: E402
 
-# name: (degree, points, lines, free ends, cross-ratios)
+# name: (degree, points, lines, cross-ratios, free ends)
 SHAPES = {
-    "A": (1, 0, 5, 1, 3),
-    "B": (1, 0, 6, 1, 3),
-    "C": (2, 1, 6, 0, 4),
-    "D": (2, 2, 4, 1, 4),
+    "A": (1, 0, 5, 3, 1),
+    "B": (1, 0, 6, 3, 1),
+    "C": (2, 1, 6, 4, 0),
+    "D": (2, 2, 4, 4, 1),
 }
-
-
-def classes(degree: int, points: int, lines: int, free: int, r: int) -> list[Instance]:
-    """One instance per class up to relabelling."""
-    labels = range(1, points + lines + free + 1)
-    found = {}
-    for crossratios in itertools.combinations(itertools.combinations(labels, 4), r):
-        inst = Instance.build(
-            degree,
-            points=labels[:points],
-            lines={x: 1 for x in labels[points : points + lines]},
-            free=labels[points + lines :],
-            crossratios=crossratios,
-        )
-        found.setdefault(canonical_key(inst), inst)
-    return list(found.values())
-
-
-def reverse_counts(instances: list[Instance]) -> list[int]:
-    """The counts with every node resolved by the last of its choices."""
-    listed = engine._row_choices
-    engine._row_choices = lambda rows: reversed(list(listed(rows)))
-    try:
-        return [evaluate(inst) for inst in instances]
-    finally:
-        engine._row_choices = listed
 
 
 def sweep(name: str) -> str:
     start = time.perf_counter()
-    found = classes(*SHAPES[name])
+    found = weight_one_classes(*SHAPES[name])
     root = sum(not evaluate_invariance_battery(inst).ok for inst in found)
     counts = [evaluate(inst) for inst in found]
-    reverse = sum(a != b for a, b in zip(counts, reverse_counts(found)))
+    with resolved_in_reverse():
+        reverse = sum(evaluate(inst) != count for inst, count in zip(found, counts))
     seconds = time.perf_counter() - start
     return f"{name}: {len(found)} classes, root {root}, reverse {reverse} ({seconds:.1f} s)"
 
 
-def main(argv: list[str]) -> int:
-    names = argv or list(SHAPES)
-    unknown = [name for name in names if name not in SHAPES]
-    if unknown:
-        print(f"error: unknown shape {unknown[0]!r}, expected one of {', '.join(SHAPES)}")
-        return 1
-    for name in names:
+def main() -> int:
+    for name in SHAPES:
         print(sweep(name), flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
