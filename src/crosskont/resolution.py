@@ -10,9 +10,10 @@ opposite sides.  Each remaining cross-ratio must follow one side (three
 or four of its slots there); a two-two distribution admits no tree in
 which that cross-ratio stays satisfied, so such partitions are dropped.
 
-Trees are identified by their splits (the leaf bipartitions induced by
-internal edges), which makes the result independent of the order in
-which the cross-ratios are resolved and of the chosen pairings.
+The count is taken by a recursion memoised on each sub-profile up to
+relabelling, since it depends on neither order nor pairings; only
+``total_resolutions`` builds the trees, identified by their splits (the
+leaf bipartitions induced by internal edges).
 """
 
 from __future__ import annotations
@@ -253,9 +254,28 @@ def total_resolutions(
 
 
 def cross_ratio_multiplicity(profile: VertexProfile) -> int:
-    """Number of trivalent resolutions of the vertex.
+    """Number of trivalent resolutions of the vertex, counted without building trees.
 
-    Equals 1 for a trivalent vertex without cross-ratios and raises
-    :class:`StructureError` whenever the valence equation fails.
+    Recurses over :func:`resolve_once` in the default order and pairings
+    of :func:`total_resolutions`, two children worth the product of their
+    counts.  A count depends only on the slot sets of the cross-ratios up
+    to relabelling, so one call memoises it under those sets in slot
+    ranks.  Raises :class:`StructureError` if the valence equation fails.
     """
-    return len(total_resolutions(profile))
+    profile.check_valence()
+    pairings = {cr: all_pairings(CrossRatio(frozenset(t)))[0] for cr, t in profile.routes.items()}
+    memo: dict[tuple, int] = {}
+
+    def count(sub: VertexProfile) -> int:
+        if not sub.routes:
+            return 1
+        rank = {slot: i for i, slot in enumerate(sorted(sub.slots))}.__getitem__
+        key = (len(sub.slots), tuple(sorted(tuple(sorted(map(rank, table.values())))
+                                            for table in sub.routes.values())))
+        if key not in memo:
+            target = next(iter(sub.routes))
+            children = resolve_once(sub, target, pairings[target])
+            memo[key] = sum(count(a) * count(b) for a, b in children)
+        return memo[key]
+
+    return count(profile)

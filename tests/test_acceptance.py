@@ -134,6 +134,7 @@ def test_criterion_6_resolution_count_invariance(criterion):
             for crs in itertools.combinations_with_replacement(quads, r):
                 prof = VertexProfile.of(slots, crs)
                 baseline = len(total_resolutions(prof))
+                assert cross_ratio_multiplicity(prof) == baseline
                 choices = [tuple(all_pairings(CrossRatio.of(*cr))) for cr in crs]
                 for order in itertools.permutations(range(r)):
                     for combo in itertools.product(*choices):

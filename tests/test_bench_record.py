@@ -77,10 +77,12 @@ def test_record_names_the_measured_code_by_line_count_and_hash(tmp_path, monkeyp
     _write(tmp_path / "p.jsonl", runs(0.30), commit="unknown", src_sha256="aaaa", src_lines=12)
     _write(tmp_path / "c.jsonl", runs(0.20), commit="unknown", src_sha256="bbbb", src_lines=11)
     argv = ["--number", "99", "--parent", str(tmp_path / "p.jsonl"),
-            "--change", str(tmp_path / "c.jsonl"), "--claim", "w:wall_s", "--note", "n"]
+            "--change", str(tmp_path / "c.jsonl"), "--claim", "w:wall_s", "--note", "n",
+            "--extra", 'calls={"parent": 9, "change": 3}']
     assert tool.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert record["parent_commit"] == "unknown"
     assert record["src_sha256"] == {"parent": "aaaa", "change": "bbbb"}
     assert record["src_lines"] == {"parent": 12, "change": 11}
     assert record["claim"]["verdict"] == "improved" and record["cli_digest"]["runs"] == 204
+    assert record["calls"] == {"parent": 9, "change": 3}

@@ -190,14 +190,16 @@ def test_resolve_once_matches_the_placement_loop(cases):
     assert (widest > _BLOCK) == (cases is _golden_profiles)
 
 
+SLOT_IDS = st.one_of(
+    st.integers(-60, 60), st.integers(10**6, 10**6 + 60), st.integers(-(10**12), 10**12)
+)
+
+
 @st.composite
 def scattered_profiles(draw):
     """r = 1..6 random cross-ratios over 3 + r slot ids that are scattered, large or negative."""
     r = draw(st.integers(min_value=1, max_value=6))
-    ids = st.one_of(
-        st.integers(-60, 60), st.integers(10**6, 10**6 + 60), st.integers(-(10**12), 10**12)
-    )
-    slots = draw(st.lists(ids, min_size=3 + r, max_size=3 + r, unique=True))
+    slots = draw(st.lists(SLOT_IDS, min_size=3 + r, max_size=3 + r, unique=True))
     quads = st.lists(st.sampled_from(slots), min_size=4, max_size=4, unique=True)
     return slots, draw(st.lists(quads, min_size=r, max_size=r))
 
@@ -239,6 +241,41 @@ def test_golden_multcr_counts():
     for shape in shapes:
         prof = VertexProfile.of(shape["slots"], shape["crossratios"])
         assert cross_ratio_multiplicity(prof) == shape["count"], shape["id"]
+
+
+def test_the_count_resolves_isomorphic_sub_profiles_once():
+    # the r = 14 golden shapes meet many sub-profiles that are equal up to relabelling
+    shapes = [s for s in golden_multcr_shapes() if len(s["crossratios"]) == 14]
+    assert len(shapes) == 2
+    calls = {}
+    for name, func in (("count", cross_ratio_multiplicity), ("trees", total_resolutions)):
+        with mock.patch.object(resolution, "resolve_once", wraps=resolve_once) as spy:
+            for shape in shapes:
+                func(VertexProfile.of(shape["slots"], shape["crossratios"]))
+        calls[name] = spy.call_count
+    assert calls["count"] < calls["trees"] / 2, calls
+
+
+@st.composite
+def relabelled_profiles(draw):
+    """A scattered profile plus an order-preserving and a scrambled relabelling of it."""
+    slots, crs = draw(scattered_profiles())
+    image = sorted(draw(st.lists(SLOT_IDS, min_size=len(slots), max_size=len(slots), unique=True)))
+    kept = dict(zip(sorted(slots), image))
+    scrambled = dict(zip(slots, draw(st.permutations(image))))
+    shuffled = draw(st.permutations(crs))
+    return [
+        VertexProfile.of(slots, crs),
+        VertexProfile.of(map(kept.get, slots), [map(kept.get, cr) for cr in crs]),
+        VertexProfile.of(map(scrambled.get, slots), [map(scrambled.get, cr) for cr in shuffled]),
+    ]
+
+
+@given(relabelled_profiles())
+def test_count_equals_the_trees_under_any_relabelling(profs):
+    counts = [cross_ratio_multiplicity(prof) for prof in profs]
+    assert counts == [len(total_resolutions(prof)) for prof in profs]
+    assert len(set(counts)) == 1, counts
 
 
 def test_total_resolutions_five_slot_example():

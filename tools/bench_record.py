@@ -14,6 +14,8 @@ change wins and the verdict of ``perfbench/compare.py``; for the traced
 runs, each per-layer metric on both sides.  It adds the ``src/`` line
 counts and ``src/`` hashes the runs report and the ``tools/cli_digest.py``
 digest of this checkout, and is written to ``BENCH_<n>.json`` at the repository root.
+Each ``--extra KEY=JSON`` adds a measurement made outside the sweeps, such
+as call counts from ``tools/resolve_calls.py``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced-change", help="traced sweep.py runs of the change")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--note", required=True, help="one line on what the change does")
+    parser.add_argument("--extra", action="append", default=[], metavar="KEY=JSON",
+                        help="a measurement made outside the sweeps, stored under KEY")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -141,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     # The hash names the measured code also where a checkout without .git has no commit.
     for key in ("src_lines", "src_sha256"):
         record[key] = {"parent": context[key], "change": change_records[0]["context"][key]}
+    for extra in args.extra:
+        key, _, value = extra.partition("=")
+        record[key] = json.loads(value)
     runs, sha256 = digest()
     record["cli_digest"] = {"runs": runs, "sha256": sha256}
 
