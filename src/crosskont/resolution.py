@@ -10,15 +10,16 @@ opposite sides.  Each remaining cross-ratio must follow one side (three
 or four of its slots there); a two-two distribution admits no tree in
 which that cross-ratio stays satisfied, so such partitions are dropped.
 
-The count is taken by a recursion memoised on each sub-profile up to
-relabelling, since it depends on neither order nor pairings; only
-``total_resolutions`` builds the trees, identified by their splits (the
-leaf bipartitions induced by internal edges).
+The count recurses on slot sets alone through the partition kernel ``_sides``,
+memoised up to relabelling, as it depends on neither order nor pairings; only
+``resolve_once`` and ``total_resolutions`` build profiles and trees, a tree
+identified by its splits (the leaf bipartitions induced by internal edges).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -85,10 +86,7 @@ def resolve_once(
 ) -> list[tuple[VertexProfile, VertexProfile]]:
     """Resolve one cross-ratio of the profile into an edge.
 
-    Side 1 takes the first pair and each subset of the other slots that
-    leaves no remaining cross-ratio two-two, found bit-sliced ``_BLOCK``
-    slots per int; ``splits.route_groups`` routes these subsets in
-    ``itertools.combinations`` order.
+    Side 1 takes the first pair and each subset of the other slots that ``_sides`` keeps.
 
     Parameters
     ----------
@@ -114,7 +112,6 @@ def resolve_once(
         raise ValueError("pairing does not match the resolved cross-ratio")
     first = frozenset(table[entry] for entry in pairing.first)
     second = frozenset(table[entry] for entry in pairing.second)
-    rest = sorted(profile.slots - first - second)
     new_slot = max(profile.slots) + 1
     others = [(cr, table) for cr, table in profile.routes.items() if cr != target]
 
@@ -125,13 +122,23 @@ def resolve_once(
         return VertexProfile(side | {new_slot}, routes)
 
     groups = [frozenset(table.values()) for _, table in others]
+    return [(child(side1, to1), child(profile.slots - side1, to2))
+            for side1, to1, to2 in _sides(first, sorted(profile.slots - first - second), groups)]
+
+
+def _sides(first: frozenset[SlotId], rest: list[SlotId], groups: list[frozenset[SlotId]]
+           ) -> list[tuple[frozenset[SlotId], list[int], list[int]]]:
+    """Side 1 and the indices of the groups routed to each side, per partition kept.
+
+    Side 1 is ``first`` plus each subset of the sorted free slots ``rest``
+    that leaves no group two-two, found bit-sliced ``_BLOCK`` slots per int;
+    ``splits.route_groups`` routes these subsets in ``itertools.combinations`` order.
+    """
     block, outer = rest[:_BLOCK], rest[_BLOCK:]
     has = dict(zip(block, _SLICES[len(block)]))
-    extras = [[]]  # each subset of the slots past the block joins side 1's fixed part in turn
-    for slot in outer:
-        extras += [extra + [slot] for extra in extras]
     picks = []
-    for extra in extras:
+    # each subset of the slots past the block joins side 1's fixed part in turn, made lazily
+    for extra in (c for k in range(len(outer) + 1) for c in combinations(outer, k)):
         fixed = first.union(extra)
         ok = (1 << (1 << len(block))) - 1
         for entries in groups:
@@ -147,7 +154,7 @@ def resolve_once(
         bits = bin(ok)[:1:-1]
         s = bits.find("1")
         while s >= 0:
-            picks.append([slot for i, slot in enumerate(block) if s >> i & 1] + extra)
+            picks.append([slot for i, slot in enumerate(block) if s >> i & 1] + list(extra))
             s = bits.find("1", s + 1)
     out = []
     for picked in sorted(sorted(picks), key=len):  # the order of itertools.combinations
@@ -155,7 +162,7 @@ def resolve_once(
         routed = route_groups(groups, side1)
         # Side 1 holds 2 + k slots, k = len(picked), so both child valences read len(to1) == k.
         if routed is not None and len(routed[0]) == len(picked):
-            out.append((child(side1, routed[0]), child(profile.slots - side1, routed[1])))
+            out.append((side1, *routed))
     return out
 
 
@@ -256,26 +263,29 @@ def total_resolutions(
 def cross_ratio_multiplicity(profile: VertexProfile) -> int:
     """Number of trivalent resolutions of the vertex, counted without building trees.
 
-    Recurses over :func:`resolve_once` in the default order and pairings
-    of :func:`total_resolutions`, two children worth the product of their
-    counts.  A count depends only on the slot sets of the cross-ratios up
-    to relabelling, so one call memoises it under those sets in slot
-    ranks.  Raises :class:`StructureError` if the valence equation fails.
+    Recurses on slot sets alone, calling the partition kernel behind
+    :func:`resolve_once` directly: it resolves the first set with its two
+    least slots paired, and two children are worth the product of their
+    counts.  A count depends only on the slot sets up to relabelling, so
+    one call memoises it under those sets in slot ranks.  Raises
+    :class:`StructureError` if the valence equation fails.
     """
     profile.check_valence()
-    pairings = {cr: all_pairings(CrossRatio(frozenset(t)))[0] for cr, t in profile.routes.items()}
     memo: dict[tuple, int] = {}
 
-    def count(sub: VertexProfile) -> int:
-        if not sub.routes:
+    def count(slots: frozenset[SlotId], sets: list[frozenset[SlotId]]) -> int:
+        if not sets:
             return 1
-        rank = {slot: i for i, slot in enumerate(sorted(sub.slots))}.__getitem__
-        key = (len(sub.slots), tuple(sorted(tuple(sorted(map(rank, table.values())))
-                                            for table in sub.routes.values())))
+        rank = {slot: i for i, slot in enumerate(sorted(slots))}.__getitem__
+        key = (len(slots), tuple(sorted(tuple(sorted(map(rank, group))) for group in sets)))
         if key not in memo:
-            target = next(iter(sub.routes))
-            children = resolve_once(sub, target, pairings[target])
-            memo[key] = sum(count(a) * count(b) for a, b in children)
+            (target, *groups), new = sets, max(slots) + 1
+
+            def child(side: frozenset[SlotId], routed: list[int]) -> int:  # new edge for the rest
+                return count(side | {new}, [frozenset(s if s in side else new for s in groups[i])
+                                            for i in routed])
+            kept = _sides(frozenset(sorted(target)[:2]), sorted(slots - target), groups)
+            memo[key] = sum(child(part, to1) * child(slots - part, to2) for part, to1, to2 in kept)
         return memo[key]
 
-    return count(profile)
+    return count(profile.slots, [frozenset(table.values()) for table in profile.routes.values()])

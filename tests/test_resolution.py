@@ -216,22 +216,26 @@ def test_resolve_once_keeps_the_placement_loop_order_on_any_slot_ids(prof_data, 
                 assert resolve_once(prof, target, pairing) == expected
 
 
-def test_resolve_once_memory_is_bounded_by_the_block():
-    # r = 20 leaves 19 free slots; each chain cross-ratio holds one slot of the first pair
-    # and two neighbouring free slots, so only all-in and all-out survive the filter
-    free = list(range(4, 23))
+@pytest.mark.parametrize("width, block, bound", [(19, _BLOCK, 2**20), (14, 0, 2**19)])
+def test_resolve_once_memory_is_bounded_by_the_block(width, block, bound):
+    # r = width + 1 leaves width free slots; each chain cross-ratio holds one slot of the first
+    # pair and two neighbouring free slots, so only all-in and all-out survive the filter.  With
+    # no block, all 2**width subsets of the free slots go through the outer loop one at a time.
+    free = list(range(4, 4 + width))
     chain = [[0, 2, a, b] for a, b in zip(free, free[1:])] + [[1, 3, free[0], free[-1]]]
-    prof = VertexProfile.of(range(23), [[0, 1, 2, 3], *chain])
+    prof = VertexProfile.of(range(4 + width), [[0, 1, 2, 3], *chain])
     tracemalloc.start()
     try:
-        start = time.perf_counter()
-        children = resolve_once(prof, 0, Pairing.of((0, 1), (2, 3)))
-        elapsed = time.perf_counter() - start
+        with mock.patch.object(resolution, "_BLOCK", block):
+            start = time.perf_counter()
+            children = resolve_once(prof, 0, Pairing.of((0, 1), (2, 3)))
+            elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [sorted(left.slots) for left, _ in children] == [[0, 1, 23], [0, 1, *free, 23]]
-    assert peak < 2**20, peak
+    new = 4 + width
+    assert [sorted(left.slots) for left, _ in children] == [[0, 1, new], [0, 1, *free, new]]
+    assert peak < bound, peak
     assert elapsed < 5, elapsed
 
 
@@ -249,11 +253,21 @@ def test_the_count_resolves_isomorphic_sub_profiles_once():
     assert len(shapes) == 2
     calls = {}
     for name, func in (("count", cross_ratio_multiplicity), ("trees", total_resolutions)):
-        with mock.patch.object(resolution, "resolve_once", wraps=resolve_once) as spy:
+        with mock.patch.object(resolution, "_sides", wraps=resolution._sides) as spy:
             for shape in shapes:
                 func(VertexProfile.of(shape["slots"], shape["crossratios"]))
         calls[name] = spy.call_count
     assert calls["count"] < calls["trees"] / 2, calls
+
+
+def test_the_count_builds_no_profile_below_the_root():
+    shapes = golden_multcr_shapes()
+    real = VertexProfile.__post_init__
+    with mock.patch.object(VertexProfile, "__post_init__", autospec=True, side_effect=real) as built, \
+            mock.patch.object(resolution, "resolve_once", wraps=resolve_once) as resolved:
+        for shape in shapes:
+            cross_ratio_multiplicity(VertexProfile.of(shape["slots"], shape["crossratios"]))
+    assert (resolved.call_count, built.call_count) == (0, len(shapes))
 
 
 @st.composite
