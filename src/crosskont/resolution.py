@@ -10,10 +10,10 @@ opposite sides.  Each remaining cross-ratio must follow one side (three
 or four of its slots there); a two-two distribution admits no tree in
 which that cross-ratio stays satisfied, so such partitions are dropped.
 
-The count recurses on slot sets alone through the partition kernel ``_sides``,
-memoised up to relabelling, as it depends on neither order nor pairings; only
-``resolve_once`` and ``total_resolutions`` build profiles and trees, a tree
-identified by its splits (the leaf bipartitions induced by internal edges).
+The partition kernel ``_sides`` and the count see a slot set as a mask, bit i
+for the i-th smallest slot: the count depends only on the slot sets up to
+relabelling, so it recurses on one mask per cross-ratio.  Only ``resolve_once``
+and ``total_resolutions`` build profiles and trees, a tree identified by its splits.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import Label, Pairing, CrossRatio, all_pairings
-from .splits import route_groups
 
 SlotId = int
 
-# resolve_once bit-slices the subsets of at most _BLOCK free slots: bit s of an int stands for
+# _sides bit-slices the subsets of at most _BLOCK free slots: bit s of an int stands for
 # the subset whose members are the set bits of s.  _SLICES[n][i]: the subsets of n holding i.
 _BLOCK = 12
 _SLICES = [[((1 << (1 << n)) - 1) // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
@@ -86,7 +85,7 @@ def resolve_once(
 ) -> list[tuple[VertexProfile, VertexProfile]]:
     """Resolve one cross-ratio of the profile into an edge.
 
-    Side 1 takes the first pair and each subset of the other slots that ``_sides`` keeps.
+    ``_sides`` sees slots as bits of their ranks; side 1 takes the first pair and each subset kept.
 
     Parameters
     ----------
@@ -101,68 +100,70 @@ def resolve_once(
     Returns
     -------
     list of (VertexProfile, VertexProfile)
-        One pair of child profiles per valid partition of the slots,
-        the side holding the pairing's first pair first.  Remaining
-        cross-ratios follow the side holding at least three of their
-        slots, the odd slot out replaced by the new edge.
+        One pair of child profiles per valid partition of the slots, in
+        ``itertools.combinations`` order, the side holding the pairing's
+        first pair first.  Remaining cross-ratios follow the side holding at
+        least three of their slots, the odd slot out replaced by the new edge.
     """
     profile.check_valence()
     table = profile.routes[target]
     if pairing.entries != table.keys():
         raise ValueError("pairing does not match the resolved cross-ratio")
-    first = frozenset(table[entry] for entry in pairing.first)
-    second = frozenset(table[entry] for entry in pairing.second)
+    bit = {slot: 1 << i for i, slot in enumerate(sorted(profile.slots))}
+    first = sum(bit[table[entry]] for entry in pairing.first)
     new_slot = max(profile.slots) + 1
     others = [(cr, table) for cr, table in profile.routes.items() if cr != target]
 
     def child(side: frozenset[SlotId], routed: list[int]) -> VertexProfile:
-        routes = {}
-        for cr, table in (others[i] for i in routed):
-            routes[cr] = {entry: slot if slot in side else new_slot for entry, slot in table.items()}
+        routes = {cr: {entry: slot if slot in side else new_slot for entry, slot in table.items()}
+                  for cr, table in (others[i] for i in routed)}
         return VertexProfile(side | {new_slot}, routes)
 
-    groups = [frozenset(table.values()) for _, table in others]
-    return [(child(side1, to1), child(profile.slots - side1, to2))
-            for side1, to1, to2 in _sides(first, sorted(profile.slots - first - second), groups)]
+    groups = [sum(bit[slot] for slot in table.values()) for _, table in others]
+    rest = [i for i, slot in enumerate(bit) if slot not in table.values()]
+    kept = [([slot for slot, b in bit.items() if side1 & b], to1, to2)
+            for side1, to1, to2 in _sides(first, rest, groups)]
+    return [(child(frozenset(side1), to1), child(profile.slots.difference(side1), to2))
+            for side1, to1, to2 in sorted(kept, key=lambda part: (len(part[0]), part[0]))]
 
 
-def _sides(first: frozenset[SlotId], rest: list[SlotId], groups: list[frozenset[SlotId]]
-           ) -> list[tuple[frozenset[SlotId], list[int], list[int]]]:
-    """Side 1 and the indices of the groups routed to each side, per partition kept.
+def _sides(first: int, rest: list[int], groups: list[int]
+           ) -> list[tuple[int, list[int], list[int]]]:
+    """Side 1 and the indices of the groups routed to each side, per partition kept, in no order.
 
-    Side 1 is ``first`` plus each subset of the sorted free slots ``rest``
-    that leaves no group two-two, found bit-sliced ``_BLOCK`` slots per int;
-    ``splits.route_groups`` routes these subsets in ``itertools.combinations`` order.
+    Slot sets are masks, bit p for position p.  Side 1 is ``first`` plus each subset of the
+    ascending free positions ``rest`` that leaves no group two-two, found bit-sliced ``_BLOCK``
+    positions per int; side 1 takes the groups 3 or 4 of whose bits it holds, one per free slot.
     """
-    block, outer = rest[:_BLOCK], rest[_BLOCK:]
-    has = dict(zip(block, _SLICES[len(block)]))
-    picks = []
-    # each subset of the slots past the block joins side 1's fixed part in turn, made lazily
+    block, outer, out = rest[:_BLOCK], rest[_BLOCK:], []
+    has = {1 << p: sliced for p, sliced in zip(block, _SLICES[len(block)])}
+    within = sum(has)
+    # each subset of the positions past the block joins side 1's fixed part in turn, made lazily
     for extra in (c for k in range(len(outer) + 1) for c in combinations(outer, k)):
-        fixed = first.union(extra)
+        fixed = first | sum(1 << p for p in extra)
         ok = (1 << (1 << len(block))) - 1
         for entries in groups:
-            need = 2 - len(entries & fixed)
+            need = 2 - (entries & fixed).bit_count()
             if need >= 0:
                 # Per subset, count the group's block slots up from -need mod 4 in two bit
                 # planes: at most 2 + need are there, so the count is 0 where exactly need are.
                 ones, twos = -(need & 1), -(need > 0)
-                for slot in entries & has.keys():
-                    twos ^= ones & has[slot]
-                    ones ^= has[slot]
+                inside = entries & within
+                while inside:
+                    low = inside & -inside
+                    twos ^= ones & has[low]
+                    ones ^= has[low]
+                    inside ^= low
                 ok &= ones | twos
-        bits = bin(ok)[:1:-1]
-        s = bits.find("1")
-        while s >= 0:
-            picks.append([slot for i, slot in enumerate(block) if s >> i & 1] + list(extra))
-            s = bits.find("1", s + 1)
-    out = []
-    for picked in sorted(sorted(picks), key=len):  # the order of itertools.combinations
-        side1 = first.union(picked)
-        routed = route_groups(groups, side1)
-        # Side 1 holds 2 + k slots, k = len(picked), so both child valences read len(to1) == k.
-        if routed is not None and len(routed[0]) == len(picked):
-            out.append((side1, *routed))
+        while ok:  # each surviving subset s of the block, routed in place
+            s = (ok & -ok).bit_length() - 1
+            ok &= ok - 1
+            side1 = fixed | sum(1 << p for i, p in enumerate(block) if s >> i & 1)
+            to1, to2 = [], []
+            for j, entries in enumerate(groups):
+                (to1 if (entries & side1).bit_count() >= 3 else to2).append(j)
+            if len(to1) == side1.bit_count() - 2:  # 2 + k slots, 3 + len(to1) with the new edge
+                out.append((side1, to1, to2))
     return out
 
 
@@ -263,29 +264,38 @@ def total_resolutions(
 def cross_ratio_multiplicity(profile: VertexProfile) -> int:
     """Number of trivalent resolutions of the vertex, counted without building trees.
 
-    Recurses on slot sets alone, calling the partition kernel behind
-    :func:`resolve_once` directly: it resolves the first set with its two
-    least slots paired, and two children are worth the product of their
-    counts.  A count depends only on the slot sets up to relabelling, so
-    one call memoises it under those sets in slot ranks.  Raises
-    :class:`StructureError` if the valence equation fails.
+    Ranks the slots once and recurses on one mask of slot ranks per cross-ratio, calling
+    the partition kernel behind :func:`resolve_once` directly: it resolves the first mask
+    with its two lowest bits paired, and two children are worth the product of their counts.
+    A count depends only on the number of slots and the masks, so one call memoises it
+    under both.  Raises :class:`StructureError` if the valence equation fails.
     """
     profile.check_valence()
-    memo: dict[tuple, int] = {}
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def count(slots: frozenset[SlotId], sets: list[frozenset[SlotId]]) -> int:
-        if not sets:
+    def count(n: int, masks: list[int]) -> int:
+        if not masks:
             return 1
-        rank = {slot: i for i, slot in enumerate(sorted(slots))}.__getitem__
-        key = (len(slots), tuple(sorted(tuple(sorted(map(rank, group))) for group in sets)))
-        if key not in memo:
-            (target, *groups), new = sets, max(slots) + 1
-
-            def child(side: frozenset[SlotId], routed: list[int]) -> int:  # new edge for the rest
-                return count(side | {new}, [frozenset(s if s in side else new for s in groups[i])
-                                            for i in routed])
-            kept = _sides(frozenset(sorted(target)[:2]), sorted(slots - target), groups)
-            memo[key] = sum(child(part, to1) * child(slots - part, to2) for part, to1, to2 in kept)
+        if (key := (n, tuple(sorted(masks)))) not in memo:
+            target, *groups = masks
+            higher = (above := target & (target - 1)) & (above - 1)  # less its two lowest bits
+            free, total = [p for p in range(n) if not target >> p & 1], 0
+            for part, to1, to2 in _sides(target ^ higher, free, groups):
+                if left := child(part, [groups[j] for j in to1]):
+                    total += left * child((1 << n) - 1 ^ part, [groups[j] for j in to2])
+            memo[key] = total
         return memo[key]
 
-    return count(profile.slots, [frozenset(table.values()) for table in profile.routes.values()])
+    def child(side: int, routed: list[int]) -> int:  # side's ranks in order, the new edge on top
+        top, masks = side.bit_count(), []
+        for entries in routed:
+            mask = 0
+            while entries:
+                low = entries & -entries
+                mask |= 1 << (side & (low - 1)).bit_count() if side & low else 1 << top
+                entries ^= low
+            masks.append(mask)
+        return count(top + 1, masks)
+
+    bit = {slot: 1 << i for i, slot in enumerate(sorted(profile.slots))}
+    return count(len(bit), [sum(map(bit.get, table.values())) for table in profile.routes.values()])

@@ -292,6 +292,15 @@ def test_count_equals_the_trees_under_any_relabelling(profs):
     assert len(set(counts)) == 1, counts
 
 
+@given(scattered_profiles(), st.integers(min_value=0, max_value=_BLOCK))
+def test_count_equals_the_trees_past_any_block_width(prof_data, width):
+    # a narrow block sends the count's free slots through the kernel's outer loop too
+    prof = VertexProfile.of(*prof_data)
+    trees = len(total_resolutions(prof))
+    with mock.patch.object(resolution, "_BLOCK", width):
+        assert cross_ratio_multiplicity(prof) == trees
+
+
 def test_total_resolutions_five_slot_example():
     trees = total_resolutions(profile(*FIVE))
     assert len(trees) == 1
