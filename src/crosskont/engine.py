@@ -249,10 +249,10 @@ class Engine:
     :func:`base_from_rows` if it needs no split, else as the sum over the
     split orbits (:func:`orbit_rows`) of the first of :func:`_row_choices`,
     skipping those with a side that :func:`_vanishes` before either
-    side's rows are built.  A side is looked up by its degree and exact
-    rows; only rows met first pay for :func:`rows_key`.  ``max_nodes``
-    counts the distinct classes valued; the trace also values the sides
-    of skipped orbits.
+    side's rows are built.  :meth:`_key` finds a class, root or side, by
+    its degree and exact rows; only rows met first pay for :func:`rows_key`.
+    ``max_nodes`` counts the distinct classes valued; the trace also values
+    the sides of skipped orbits.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -282,11 +282,7 @@ class Engine:
         yield from self._walk(inst, canonical_key(inst), seen, "", "")
 
     def _eval(self, inst: Instance) -> Count:
-        rows = label_rows(inst)
-        key = rows_key(inst.degree, rows)
-        if key in self._memo:
-            return self._memo[key]
-        return self._node(key, inst.degree, rows)
+        return self._memo[self._key(inst.degree, label_rows(inst))]
 
     def _node(self, key: bytes, degree: int, rows: Mapping[Row, int]) -> Count:
         """Value the class ``key`` of ``degree`` and ``rows`` into the memo."""
@@ -309,7 +305,7 @@ class Engine:
         """Yield the trace of ``inst``, of class ``key``, after ``head``; return its value.
 
         Splits come from :func:`orbit_members` under the first of its
-        :func:`resolution_choices`, side classes from :meth:`_side`, which
+        :func:`resolution_choices`, side classes from :meth:`_key`, which
         also evaluates any the memo lacks.
         """
         yield head + _describe(inst, f"d={inst.degree}", inst.labels, range(len(inst.crossratios)))
@@ -333,8 +329,9 @@ class Engine:
                 )
                 yield f"{pad}  split [{split.kind}] ({s1} | {s2})"
                 sub = build_subinstances(inst, split)
-                left = yield from self._walk(sub.side1, self._side(orbit, 0), seen, *nest[0])
-                right = yield from self._walk(sub.side2, self._side(orbit, 1), seen, *nest[1])
+                keys = map(self._key, orbit.degrees, orbit.rows)  # side 2's after side 1's walk
+                left = yield from self._walk(sub.side1, next(keys), seen, *nest[0])
+                right = yield from self._walk(sub.side2, next(keys), seen, *nest[1])
                 yield f"{pad}  term {left} * {right} = {left * right}"
         yield f"{pad}  = {value}"
         return value
@@ -350,14 +347,13 @@ class Engine:
             if _zero_side(orbit):
                 continue
             if kept is None or _isolates(orbit, kept):
-                key1, key2 = self._side(orbit, 0), self._side(orbit, 1)
+                key1, key2 = map(self._key, orbit.degrees, orbit.rows)
                 value += orbit.weight * self._memo[key1] * self._memo[key2]
                 self._terms += 1
         return value
 
-    def _side(self, orbit: Orbit, i: int) -> bytes:
-        """Class key of side ``i`` (0 or 1) of an orbit, valued into the memo on a miss."""
-        degree, rows = orbit.degrees[i], orbit.rows[i]
+    def _key(self, degree: int, rows: Mapping[Row, int]) -> bytes:
+        """Class key of ``degree`` and ``rows``, valued into the memo on a miss."""
         exact = degree, frozenset(rows.items())
         if exact in self._exact:
             return self._exact[exact]

@@ -12,8 +12,8 @@ which that cross-ratio stays satisfied, so such partitions are dropped.
 
 The partition kernel ``_sides`` and the count see a slot set as a mask, bit i
 for the i-th smallest slot: the count depends only on the slot sets up to
-relabelling, so it recurses on one mask per cross-ratio.  Only ``resolve_once``
-and ``total_resolutions`` build profiles and trees, a tree identified by its splits.
+relabelling, so it recurses on one mask per cross-ratio; the trees add one per pairing,
+for its side-1 pair, and are identified by their splits.  Only ``resolve_once`` builds profiles.
 """
 
 from __future__ import annotations
@@ -185,28 +185,35 @@ class ResolutionTree:
 
 
 def _grow(
-    profile: VertexProfile,
-    leaves_of: dict[SlotId, frozenset[SlotId]],
-    pairings: Mapping[int, Pairing],
-    order: Sequence[int],
-    anchor: SlotId,
+    behind: dict[int, frozenset[SlotId]], crs: list[tuple[int, int, int]], anchor: SlotId
 ) -> list[tuple[frozenset[frozenset[SlotId]], dict[int, frozenset[SlotId]]]]:
-    if not profile.routes:
+    """Split sets and edges of a node's resolutions, its partitions in ``resolve_once``'s order.
+
+    ``behind`` sends the node's ascending positions to the root slots behind each; ``crs``
+    holds (id, mask, mask of the pair on side 1) per unresolved cross-ratio, the next first.
+    A child keeps its side's positions and gives the new edge a fresh one above the node's.
+    """
+    if not crs:
         return [(frozenset(), {})]
-    target = next(cr for cr in order if cr in profile.routes)
-    new_slot = max(profile.slots) + 1
-    results = []
-    for child1, child2 in resolve_once(profile, target, pairings[target]):
-        below1 = frozenset().union(*(leaves_of[s] for s in child1.slots - {new_slot}))
-        below2 = frozenset().union(*(leaves_of[s] for s in child2.slots - {new_slot}))
+    (target, entries, pair), *rest = crs
+    fresh = max(behind) + 1
+    on = lambda side: [p for p in behind if side >> p & 1]  # side 2 is ~side1
+    leaves = lambda side: frozenset().union(*map(behind.get, on(side)))
+
+    def child(side: int, routed: list[int], other: frozenset[SlotId]) -> list:
+        cut = lambda mask: mask & side | (1 << fresh if mask & ~side else 0)  # off-side bit to edge
+        return _grow({**{p: behind[p] for p in on(side)}, fresh: other},
+                     [(cr, cut(mask), cut(first)) for cr, mask, first in map(rest.__getitem__, routed)],
+                     anchor)
+
+    kept = _sides(pair, on(~entries), [mask for _, mask, _ in rest])
+    results: list = []
+    for side1, to1, to2 in sorted(kept, key=lambda part: (part[0].bit_count(), on(part[0]))):
+        below1, below2 = leaves(side1), leaves(~side1)
         split = below2 if anchor in below1 else below1
-        left = _grow(child1, leaves_of | {new_slot: below2}, pairings, order, anchor)
-        right = _grow(child2, leaves_of | {new_slot: below1}, pairings, order, anchor)
-        for splits1, edges1 in left:
-            for splits2, edges2 in right:
-                results.append(
-                    (splits1 | splits2 | {split}, {target: split, **edges1, **edges2})
-                )
+        left, right = child(side1, to1, below2), child(~side1, to2, below1)
+        results += [(splits1 | splits2 | {split}, {target: split, **edges1, **edges2})
+                    for splits1, edges1 in left for splits2, edges2 in right]
     return results
 
 
@@ -217,10 +224,9 @@ def total_resolutions(
 ) -> tuple[ResolutionTree, ...]:
     """All trivalent resolutions of the profile, up to tree isomorphism.
 
-    Recursively applies :func:`resolve_once` to every cross-ratio while
-    tracking which original slots sit behind each intermediate edge.
-    Two resolutions producing the same set of splits describe the same
-    tree and are counted once.
+    Reads the routing tables and pairings once, then resolves one cross-ratio at a time as
+    :func:`resolve_once` does, on masks of slot ranks, tracking the original slots behind
+    each rank.  Resolutions with the same set of splits are the same tree, counted once.
 
     Parameters
     ----------
@@ -231,8 +237,9 @@ def total_resolutions(
         depend on this choice; their number does not.
     order : sequence of int, optional
         Resolution order by cross-ratio id; defaults to the order of
-        ``profile.routes``.  The number of trees does not depend on it
-        either.
+        ``profile.routes``.  Repeats and ids not in the profile are
+        ignored; leaving one of its ids out raises ``ValueError``.  The
+        number of trees does not depend on it either.
 
     Returns
     -------
@@ -240,25 +247,22 @@ def total_resolutions(
         Sorted by their split encodings, one tree per split set.
     """
     profile.check_valence()
-    chosen = dict(pairings) if pairings else {}
-    for cr, table in profile.routes.items():
-        if cr not in chosen:
-            chosen[cr] = all_pairings(CrossRatio(frozenset(table)))[0]
-    resolution_order = tuple(order) if order is not None else tuple(profile.routes)
-    anchor = min(profile.slots)
-    leaves_of = {slot: frozenset({slot}) for slot in profile.slots}
-    raw = _grow(profile, leaves_of, chosen, resolution_order, anchor)
-    by_splits: dict[frozenset[frozenset[SlotId]], ResolutionTree] = {}
-    for splits, edges in raw:
-        if splits not in by_splits:
-            by_splits[splits] = ResolutionTree(
-                profile.slots, splits, tuple(sorted(edges.items()))
-            )
-    ordered = sorted(
-        by_splits.values(),
-        key=lambda tree: sorted(tuple(sorted(s)) for s in tree.splits),
-    )
-    return tuple(ordered)
+    pairings, routes = pairings or {}, profile.routes
+    ids = dict.fromkeys(cr for cr in (routes if order is None else order) if cr in routes)
+    if missing := [cr for cr in routes if cr not in ids]:
+        raise ValueError(f"order leaves out cross-ratios {missing}")
+    rank = {slot: i for i, slot in enumerate(sorted(profile.slots))}
+    crs = []
+    for cr in ids:
+        pairing = pairings[cr] if cr in pairings else all_pairings(CrossRatio(frozenset(routes[cr])))[0]
+        if pairing.entries != routes[cr].keys():
+            raise ValueError("pairing does not match the resolved cross-ratio")
+        crs.append((cr, *(sum(1 << rank[routes[cr][entry]] for entry in group)
+                          for group in (routes[cr], pairing.first))))
+    raw = _grow({i: frozenset({slot}) for slot, i in rank.items()}, crs, min(rank))
+    trees = [ResolutionTree(profile.slots, splits, tuple(sorted(edges.items())))
+             for splits, edges in dict(reversed(raw)).items()]  # each from its first resolution
+    return tuple(sorted(trees, key=lambda tree: sorted(map(sorted, tree.splits))))
 
 
 def cross_ratio_multiplicity(profile: VertexProfile) -> int:

@@ -353,7 +353,7 @@ def test_trace_marks_memoized_hits():
 
 
 def test_trace_keys_only_the_root(monkeypatch):
-    # Sides are keyed through Engine._side from their rows, so the number
+    # Sides are keyed through Engine._key from their rows, so the number
     # of canonical_key calls does not grow with the trace (98,307 lines at d = 6).
     calls = []
 

@@ -178,14 +178,23 @@ def _golden_profiles():
             yield prof, target, all_pairings(CrossRatio.of(*cr))[0]
 
 
-@pytest.mark.parametrize("cases", [_small_profiles, _golden_profiles])
+def _unsorted_profile():
+    """An r = 4 profile whose cross-ratio 0, default pairing, the kernel keeps out of order."""
+    crs = [[1, 2, 3, 4], [1, 2, 5, 7], [1, 3, 5, 6], [3, 4, 5, 7]]
+    prof = VertexProfile.of(range(1, 8), crs)
+    for target, cr in enumerate(crs):
+        for pairing in all_pairings(CrossRatio.of(*cr)):
+            yield prof, target, pairing
+
+
+@pytest.mark.parametrize("cases", [_small_profiles, _unsorted_profile, _golden_profiles])
 def test_resolve_once_matches_the_placement_loop(cases):
     checked = widest = 0
     for prof, target, pairing in cases():
         assert resolve_once(prof, target, pairing) == _placement_loop(prof, target, pairing)
         checked += 1
         widest = max(widest, len(prof.slots) - 4)
-    assert checked == {_small_profiles: 93, _golden_profiles: 154}[cases]
+    assert checked == {_small_profiles: 93, _unsorted_profile: 12, _golden_profiles: 154}[cases]
     # the golden r = 14 shapes have more free slots than one block, so the outer loop runs
     assert (widest > _BLOCK) == (cases is _golden_profiles)
 
@@ -260,13 +269,15 @@ def test_the_count_resolves_isomorphic_sub_profiles_once():
     assert calls["count"] < calls["trees"] / 2, calls
 
 
-def test_the_count_builds_no_profile_below_the_root():
+@pytest.mark.parametrize("func", [cross_ratio_multiplicity, total_resolutions])
+def test_the_count_builds_no_profile_below_the_root(func):
+    # the trees recurse on masks through _sides as the count does
     shapes = golden_multcr_shapes()
     real = VertexProfile.__post_init__
     with mock.patch.object(VertexProfile, "__post_init__", autospec=True, side_effect=real) as built, \
             mock.patch.object(resolution, "resolve_once", wraps=resolve_once) as resolved:
         for shape in shapes:
-            cross_ratio_multiplicity(VertexProfile.of(shape["slots"], shape["crossratios"]))
+            func(VertexProfile.of(shape["slots"], shape["crossratios"]))
     assert (resolved.call_count, built.call_count) == (0, len(shapes))
 
 
@@ -324,6 +335,19 @@ def test_empty_profile_counts_one():
 def test_duplicate_quadruples_cannot_resolve():
     prof = profile([1, 2, 3, 4, 5], [[1, 2, 3, 4], [1, 2, 3, 4]])
     assert cross_ratio_multiplicity(prof) == 0
+
+
+def test_order_must_name_every_cross_ratio():
+    prof = profile(*FIVE)
+    with pytest.raises(ValueError, match=r"order leaves out cross-ratios \[1\]"):
+        total_resolutions(prof, order=[0])
+    # repeats and ids not in the profile are ignored
+    assert total_resolutions(prof, order=[1, 7, 1, 0]) == total_resolutions(prof, order=[1, 0])
+
+
+def test_a_pairing_of_other_entries_raises():
+    with pytest.raises(ValueError, match="pairing does not match the resolved cross-ratio"):
+        total_resolutions(profile(*FIVE), pairings={1: Pairing.of((1, 2), (3, 4))})
 
 
 def test_valence_mismatch_raises():
