@@ -92,7 +92,7 @@ def kontsevich(d: int) -> Count:
 
 
 def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> bool:
-    """Whether the base rule values a class 0 from its counts alone.
+    """Whether a class counts 0 from its counts alone: the one statement of the zero rule.
 
     ``kinds`` counts its points, multi lines and free ends, indexed by
     :data:`KIND_RANK`, and ``crossratios`` its cross-ratios.  Of
@@ -101,18 +101,12 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
     it is rigid: pinned to the intersection of two multi lines with
     l + 1 free ends, or to one point with l + 2 free ends, for l
     cross-ratios.  Any other shape leaves the vertex loose or
-    over-determined.
+    over-determined.  :func:`base_from_rows` reads it from a class's
+    rows, :func:`_zero_side` from an orbit side's counts.
     """
     if degree:
         return kinds[KIND_RANK[FREE]] > 0 and not crossratios
     return kinds not in ((0, 2, crossratios + 1), (1, 0, crossratios + 2))
-
-
-def _star_scale(points: int, line_weights: Sequence[int], free: int, crossratios: int) -> int:
-    """Weight factor of a degree-zero star: its line weights' product if it is rigid, else 0."""
-    if _vanishes(0, (points, len(line_weights), free), crossratios):
-        return 0
-    return math.prod(line_weights)
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
@@ -121,8 +115,8 @@ def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
     It is 0 where :func:`_vanishes` says so.  Otherwise, for positive
     degree the points pin down ``kontsevich(d)`` curves and each multi
     line contributes its weight times d intersection points.  A
-    degree-zero map is a star, one vertex with one slot per label:
-    :func:`_star_scale` times its cross-ratio multiplicity.
+    degree-zero map is a star, one vertex with one slot per label: its
+    line weights' product times its cross-ratio multiplicity.
     """
     kinds = [0, 0, 0]
     weights = []
@@ -131,13 +125,12 @@ def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
         if rank == KIND_RANK[LINE]:
             weights += [weight] * n
     width = len(next(iter(rows))[2])  # membership vectors span the cross-ratios
+    if _vanishes(degree, tuple(kinds), width):
+        return 0
     if degree:
-        if _vanishes(degree, tuple(kinds), width):
-            return 0
         return kontsevich(degree) * math.prod(weight * degree for weight in weights)
-    points, _, free = kinds
-    scale = _star_scale(points, weights, free, width)
-    if not scale or not width:
+    scale = math.prod(weights)
+    if not width:
         return scale
     slots = [vec for (_, _, vec), n in rows.items() for _ in range(n)]  # one per label
     crossratios = [[s for s, vec in enumerate(slots) if vec[j]] for j in range(width)]
@@ -145,13 +138,11 @@ def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
 
 
 def base_no_crossratios(inst: Instance) -> Count:
-    """Count for a valid instance without cross-ratios: :func:`base_from_rows` of its rows."""
+    """Count for a valid instance that :func:`base_from_rows` values, from its label rows."""
     return base_from_rows(inst.degree, label_rows(inst))
 
 
-def base_degree_zero(inst: Instance) -> Count:
-    """Count for a valid degree-zero instance, a star: :func:`base_from_rows` of its rows."""
-    return base_from_rows(inst.degree, label_rows(inst))
+base_degree_zero = base_no_crossratios  # perfbench/tracing.py times stars under this second name
 
 
 def _choices(columns: Sequence[Sequence], row: Callable, points: bool) -> Iterator[tuple]:

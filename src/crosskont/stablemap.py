@@ -235,10 +235,6 @@ class StableMap:
         if not base.contracted:
             raise ValueError("the base must be a contracted end")
 
-    @property
-    def degree(self) -> int:
-        return sum(1 for end in self.ends if end.direction == (-1, 0))
-
     def _adjacency(self) -> dict[str, list[tuple[str, BoundedEdge, int]]]:
         """vertex -> (neighbor, edge, +1 if the edge leaves tail-first)."""
         table: dict[str, list[tuple[str, BoundedEdge, int]]] = {v: [] for v in self.vertices}

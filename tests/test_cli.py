@@ -442,6 +442,105 @@ def test_float_label_is_rejected(capsys, tmp_path):
     _rejected(capsys, tmp_path, "eval", document, "points: expected an integer, got 1.0")
 
 
+def _split_map(edit):
+    """The ``split_2_0.json`` map document after ``edit`` changed it in place."""
+    document = json.loads((FIXTURES / "split_2_0.json").read_text())
+    edit(document)
+    return document
+
+
+def _edge(document, edge_id):
+    return next(edge for edge in document["edges"] if edge["id"] == edge_id)
+
+
+def _end(document, label):
+    return next(end for end in document["ends"] if end["label"] == label)
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(head="W")),
+            "edge x is a loop", id="loop edge",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(weight=0)),
+            "edge x weight must be positive", id="edge weight 0",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(direction=[-2, 0])),
+            "edge x direction must be primitive", id="edge direction not primitive",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 7).update(condition={"kind": "point"})),
+            "non-contracted end 7 cannot carry a condition", id="ray with a condition",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 3)["condition"].update(normal=[0, 0])),
+            "line tags need a nonzero normal covector", id="line normal 0",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 3)["condition"].update(weight=0)),
+            "line weight must be positive", id="line weight 0",
+        ),
+        pytest.param(
+            "mult",
+            _split_map(
+                lambda d: _end(d, 3).update(condition={"kind": "degenerated line", "type": "11"})
+            ),
+            "degenerated line type must be 10, 01 or 1-1, got '11'", id="degenerated line type 11",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d["vertices"].append("W")),
+            "duplicate vertex names", id="repeated vertex",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d["ends"].append(d["ends"][0])),
+            "duplicate end labels", id="repeated end",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(head="Q")),
+            "edge x touches an unknown vertex", id="edge to an unknown vertex",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 1).update(vertex="Q")),
+            "end 1 sits at an unknown vertex", id="end at an unknown vertex",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "y").update(id="x")),
+            "duplicate edge ids", id="repeated edge id",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d["edges"].pop()),
+            "the underlying graph is not a tree", id="edge missing",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "epsv").update(tail="X", head="Y")),
+            "the underlying graph is not connected", id="cycle",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d.update(base=7)),
+            "the base must be a contracted end", id="base on a ray",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d.update(base=99)),
+            "no end labelled 99", id="base not an end",
+        ),
+        pytest.param(
+            "eval", _instance_document(degree=-1),
+            "degree must be >= 0, got -1", id="negative degree",
+        ),
+        pytest.param(
+            "multcr", {"schema": "profile/1"},
+            "missing field 'slots' in profile file", id="profile without slots",
+        ),
+    ],
+)
+def test_each_input_rejection_gets_one_error_line(capsys, tmp_path, command, document, message):
+    _rejected(capsys, tmp_path, command, document, message)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 9) | st.floats(-2, 9) | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=3)

@@ -30,7 +30,6 @@ from crosskont.conditions import FREE, LINE, all_pairings, canonical_key, label_
 from crosskont.engine import (
     Engine,
     _isolates,
-    _star_scale,
     _zero_side,
     base_degree_zero,
     base_from_rows,
@@ -139,11 +138,15 @@ def test_degree_zero_loose_shapes_count_zero():
 
 
 def _star_by_labels(inst: Instance) -> int:
-    """The label-level star rule that :func:`base_from_rows` took over, kept as a reference."""
-    weights = [inst.condition(label).weight for label in inst.lines]
-    scale = _star_scale(len(inst.points), weights, len(inst.free), len(inst.crossratios))
-    if not scale:
+    """The label-level star rule that :func:`base_from_rows` took over, kept as a reference.
+
+    It states the rigid shapes itself: (points, lines, free ends) is
+    (0, 2, r + 1) or (1, 0, r + 2) for r cross-ratios; any other star counts 0.
+    """
+    r = len(inst.crossratios)
+    if (len(inst.points), len(inst.lines), len(inst.free)) not in ((0, 2, r + 1), (1, 0, r + 2)):
         return 0
+    scale = math.prod(inst.condition(label).weight for label in inst.lines)
     return scale * cross_ratio_multiplicity(VertexProfile.of(inst.labels, inst.crossratios))
 
 
@@ -166,12 +169,10 @@ def test_stars_from_rows_match_the_label_rule():
 
 
 def test_base_functions_agree_without_cross_ratios():
+    assert base_degree_zero is base_no_crossratios
     for inst in CORPUS:
-        if inst.crossratios:
-            continue
-        assert base_no_crossratios(inst) == evaluate(inst)
-        if inst.degree == 0:
-            assert base_degree_zero(inst) == base_no_crossratios(inst)
+        if not inst.crossratios:
+            assert base_no_crossratios(inst) == evaluate(inst)
 
 
 def test_worked_example_value():
