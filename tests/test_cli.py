@@ -528,6 +528,59 @@ def _end(document, label):
             "no end labelled 99", id="base not an end",
         ),
         pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(id=3)),
+            "edge id: expected a string, got 3", id="edge id 3",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(tail=3)),
+            "tail of edge x: expected a string, got 3", id="edge tail 3",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(head=["v"])),
+            'head of edge x: expected a string, got ["v"]', id="edge head a list",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(weight=True)),
+            "weight of edge x: expected an integer, got true", id="edge weight true",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(weight=1.5)),
+            "weight of edge x: expected an integer, got 1.5", id="edge weight 1.5",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _edge(d, "x").update(direction=[1, True])),
+            "direction of edge x: expected an integer, got true", id="edge direction [1, true]",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 1).update(direction=[0.0, 0])),
+            "direction of end 1: expected an integer, got 0.0", id="end direction [0.0, 0]",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 1).update(vertex=3)),
+            "vertex of end 1: expected a string, got 3", id="end vertex 3",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 5).update(label="5")),
+            'end label: expected an integer, got "5"', id="end label a string",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 1).update(condition="point")),
+            'condition of end 1: expected an object, got "point"', id="condition a string",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 3)["condition"].update(normal=[1])),
+            "normal of end 3: expected a list of 2 items, got [1]", id="line normal [1]",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: d.update(base="1")),
+            'base: expected an integer, got "1"', id="base a string",
+        ),
+        pytest.param(
+            "mult", _split_map(lambda d: _end(d, 2).update(condition={"kind": "free"})),
+            "evaluation matrix is 6x8: the conditions do not make the map rigid",
+            id="map not rigid",
+        ),
+        pytest.param(
             "eval", _instance_document(degree=-1),
             "degree must be >= 0, got -1", id="negative degree",
         ),
