@@ -354,11 +354,14 @@ def json_checked(value: Any, what: str, *shape: int, leaf: type = int) -> Any:
 
     ``shape`` holds each list level's length, 0 for any; lists come back
     as tuples.  Misfits, bools and floats among ints included, raise
-    ValueError naming ``what``.
+    ValueError naming ``what``.  A flat list of fitting leaves is checked
+    in one pass; any misfit takes the item-by-item path that names it.
     """
     if not shape and type(value) is leaf:
         return value
     if shape and isinstance(value, list) and shape[0] in (0, len(value)):
+        if len(shape) == 1 and all(type(item) is leaf for item in value):
+            return tuple(value)
         return tuple([json_checked(item, what, *shape[1:], leaf=leaf) for item in value])
     names = {int: "an integer", str: "a string", dict: "an object"}
     expected = f"a list of {shape[0] or 'any number of'} items" if shape else names[leaf]

@@ -38,6 +38,12 @@ class StructureError(ValueError):
     """A vertex profile violates the valence equation val = 3 + r."""
 
 
+def check_valence(slots: int, crossratios: int) -> None:
+    """Raise :class:`StructureError` unless a vertex's slot count is 3 plus its cross-ratios."""
+    if slots != 3 + crossratios:
+        raise StructureError(f"vertex has {slots} slots but 3 + {crossratios} are required")
+
+
 @dataclass(frozen=True, slots=True)
 class VertexProfile:
     """The local picture at one vertex: adjacent slots plus cross-ratios.
@@ -74,10 +80,7 @@ class VertexProfile:
         return cls(slots, {i: {x: x for x in labels} for i, labels in enumerate(crossratios)})
 
     def check_valence(self) -> None:
-        if len(self.slots) != 3 + len(self.routes):
-            raise StructureError(
-                f"vertex has {len(self.slots)} slots but 3 + {len(self.routes)} are required"
-            )
+        check_valence(len(self.slots), len(self.routes))
 
 
 def resolve_once(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .conditions import (
@@ -57,7 +58,7 @@ from .conditions import (
     deficiency,
     json_checked,
 )
-from .resolution import VertexProfile, cross_ratio_multiplicity
+from .resolution import VertexProfile, check_valence, cross_ratio_multiplicity
 from .splits import (
     KIND_OF_DEFICIENCIES,
     ONE_ONE,
@@ -100,7 +101,7 @@ class EndTag:
 
     @classmethod
     def point(cls) -> "EndTag":
-        return cls(POINT)
+        return _POINT_TAG
 
     @classmethod
     def line(cls, normal: Vec, weight: int = 1) -> "EndTag":
@@ -114,7 +115,10 @@ class EndTag:
 
     @classmethod
     def free(cls) -> "EndTag":
-        return cls(FREE)
+        return _FREE_TAG
+
+
+_POINT_TAG, _FREE_TAG = EndTag(POINT), EndTag(FREE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,24 +193,29 @@ class StableMap:
     def check(self) -> None:
         """Raise with a diagnostic unless the map is a balanced stable map.
 
-        Checks tree shape, the balancing condition at every vertex, the
-        degree pattern of the non-contracted ends, and that the base is
-        a contracted end.
+        Checks tree shape, the balancing condition at every vertex (its
+        sums taken in one pass over the edges and ends), that every
+        non-contracted end has a standard direction, and that the base is
+        a contracted end.  Balance then gives the degree pattern: the
+        non-contracted ends sum to 0, and a·(−1, 0) + b·(0, −1) + c·(1, 1)
+        = 0 forces a = b = c.
         """
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         labels = [end.label for end in self.ends]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate end labels")
-        known = set(self.vertices)
+        flow: dict[str, Vec] = dict.fromkeys(self.vertices, (0, 0))
         for edge in self.edges:
-            if edge.tail not in known or edge.head not in known:
+            if edge.tail not in flow or edge.head not in flow:
                 raise ValueError(f"edge {edge.id} touches an unknown vertex")
-        ends_at: dict[str, list[Vec]] = {vertex: [] for vertex in self.vertices}
+            (tx, ty), (hx, hy), (x, y) = flow[edge.tail], flow[edge.head], edge.vector
+            flow[edge.tail], flow[edge.head] = (tx + x, ty + y), (hx - x, hy - y)
         for end in self.ends:
-            if end.vertex not in known:
+            if end.vertex not in flow:
                 raise ValueError(f"end {end.label} sits at an unknown vertex")
-            ends_at[end.vertex].append(end.direction)
+            (vx, vy), (x, y) = flow[end.vertex], end.direction
+            flow[end.vertex] = (vx + x, vy + y)
         ids = [edge.id for edge in self.edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
@@ -214,41 +223,30 @@ class StableMap:
             raise ValueError("the underlying graph is not a tree")
         if self.vertices and len(self._parents(self.vertices[0])) != len(self.vertices) - 1:
             raise ValueError("the underlying graph is not connected")
-        adjacency = self._adjacency()
-        for vertex in self.vertices:
-            vectors = [(sign * e.vector[0], sign * e.vector[1]) for _, e, sign in adjacency[vertex]]
-            vectors += ends_at[vertex]
-            if (sum(x for x, _ in vectors), sum(y for _, y in vectors)) != (0, 0):
+        for vertex, total in flow.items():
+            if total != (0, 0):
                 raise ValueError(f"vertex {vertex} is not balanced")
-        counts = {direction: 0 for direction in _STANDARD_DIRECTIONS}
         for end in self.ends:
-            if end.contracted:
-                continue
-            if end.direction not in counts:
+            if end.direction != (0, 0) and end.direction not in _STANDARD_DIRECTIONS:
                 raise ValueError(
                     f"end {end.label} has direction {end.direction}, not a standard one"
                 )
-            counts[end.direction] += 1
-        if len(set(counts.values())) != 1:
-            raise ValueError(f"end directions do not follow the degree pattern: {counts}")
         base = self.end(self.base)
         if not base.contracted:
             raise ValueError("the base must be a contracted end")
 
-    def _adjacency(self) -> dict[str, list[tuple[str, BoundedEdge, int]]]:
-        """vertex -> (neighbor, edge, +1 if the edge leaves tail-first)."""
-        table: dict[str, list[tuple[str, BoundedEdge, int]]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            table[edge.tail].append((edge.head, edge, 1))
-            table[edge.head].append((edge.tail, edge, -1))
-        return table
-
     def _parents(
         self, root: str, cut: BoundedEdge | None = None
     ) -> dict[str, tuple[str, BoundedEdge, int]]:
-        """Search tree towards ``root``, not crossing ``cut``; sign +1 when the edge points away."""
+        """Search tree towards ``root``, not crossing ``cut``; sign +1 when the edge points away.
+
+        Every vertex is listed after its parent.
+        """
         parents: dict[str, tuple[str, BoundedEdge, int]] = {}
-        adjacency = self._adjacency()
+        adjacency: dict[str, list[tuple[str, BoundedEdge, int]]] = {v: [] for v in self.vertices}
+        for edge in self.edges:
+            adjacency[edge.tail].append((edge.head, edge, 1))
+            adjacency[edge.head].append((edge.tail, edge, -1))
         frontier = [root]
         seen = {root}
         while frontier:
@@ -327,16 +325,20 @@ class EvMatrix:
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by sparse unimodular elimination.
 
-    Rows become ``{column: nonzero entry}``; per column, Euclid's algorithm
-    on the rows holding it leaves one, which Laplace expansion removes.
+    Rows become ``{column: nonzero entry}``.  Columns go sparsest first, by
+    their nonzero count in ``rows``: Euclid's algorithm on the rows holding
+    the column leaves one, which Laplace expansion removes, signed by the
+    positions of that row and that column among the alive ones.
     Made for the sparse rows of :func:`ev_matrix`; slower than Bareiss on dense ones.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    alive = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    alive = [dict(compress(enumerate(row), row)) for row in rows]
+    nonzeros = [n - column.count(0) for column in zip(*rows)]
+    columns = list(range(n))  # the alive columns, in matrix order
     det = 1
-    for k in range(n):
+    for k in sorted(columns, key=nonzeros.__getitem__):
         holding = [i for i, row in enumerate(alive) if k in row]
         if not holding:
             return 0
@@ -352,9 +354,9 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
                     else:
                         del row[j]
             holding = [i for i in holding if k in alive[i]]
-        # expanding along column k: the sign is that of the row's position among the alive rows
-        position = holding[0]
-        det *= alive.pop(position)[k] * (-1) ** position
+        row, column = holding[0], columns.index(k)
+        det *= alive.pop(row)[k] * (-1) ** (row + column)
+        del columns[column]
     return det
 
 
@@ -363,24 +365,25 @@ def ev_matrix(map: StableMap) -> EvMatrix:
 
     The entry of a length column on a condition row is the direction
     contribution of that edge on the unique path from the base to the
-    conditioned end, zero off the path.
+    conditioned end, zero off the path.  A vertex's path is its parent's
+    plus one edge, so the tree is walked once, from the base down and
+    without recursion.
     """
     base_vertex = map.end(map.base).vertex
-    parents = map._parents(base_vertex)
     length_edges = [edge for edge in map.edges if not edge.contracted]
     column_of = {edge.id: 2 + i for i, edge in enumerate(length_edges)}
+    # each vertex's (column, signed edge vector) shifts on its path from the base
+    shifts: dict[str, list[tuple[int, Vec]]] = {base_vertex: []}
+    for vertex, (parent, edge, sign) in map._parents(base_vertex).items():
+        shifts[vertex] = shifts[parent]
+        if not edge.contracted:
+            x, y = edge.vector
+            shifts[vertex] = shifts[parent] + [(column_of[edge.id], (sign * x, sign * y))]
     rows: list[tuple[int, ...]] = []
     row_labels: list[str] = []
     for end in sorted(map.ends, key=lambda e: e.label):
         if end.tag is None or end.tag.kind == FREE:
             continue
-        # climb to the base; each edge owns its column, so the order of the shifts is immaterial
-        shifts: list[tuple[int, Vec]] = []
-        here = end.vertex
-        while here != base_vertex:
-            here, edge, sign = parents[here]
-            if not edge.contracted:
-                shifts.append((column_of[edge.id], (sign * edge.vector[0], sign * edge.vector[1])))
         # a point is cut out by both coordinate covectors, a line by its weighted normal
         if end.tag.kind == POINT:
             covectors = {f"{end.label}.x": (1, 0), f"{end.label}.y": (0, 1)}
@@ -389,7 +392,7 @@ def ev_matrix(map: StableMap) -> EvMatrix:
             covectors = {str(end.label): (w * end.tag.normal[0], w * end.tag.normal[1])}
         for name, (cx, cy) in covectors.items():
             row = [cx, cy] + [0] * len(length_edges)
-            for column, (vx, vy) in shifts:
+            for column, (vx, vy) in shifts[end.vertex]:
                 row[column] = cx * vx + cy * vy
             rows.append(tuple(row))
             row_labels.append(name)
@@ -400,10 +403,12 @@ def ev_matrix(map: StableMap) -> EvMatrix:
 def _vertex_profiles(
     map: StableMap, crossratios: Sequence[CrossRatio]
 ) -> dict[str, VertexProfile]:
-    """Profiles of every vertex, cross-ratios routed to their slots.
+    """Profiles of the vertices that hold a cross-ratio, routed to their slots.
 
-    Slot ids are end labels for ends and fresh integers past the
-    largest label for bounded edges.
+    Every vertex's valence is checked, in ``map.vertices`` order, before
+    any profile is built: one slot per adjacent edge and per end, 3 plus
+    its cross-ratios in all.  Slot ids are end labels for ends and fresh
+    integers past the largest label for bounded edges.
     """
     slot_base = max((end.label for end in map.ends), default=0) + 1
     edge_slot = {edge.id: slot_base + i for i, edge in enumerate(map.edges)}
@@ -420,31 +425,32 @@ def _vertex_profiles(
             else:
                 first_edge = map.path(vertex, end.vertex)[0][0]
                 table[entry] = edge_slot[first_edge.id]
-    adjacency = map._adjacency()
-    slots = {v: {edge_slot[edge.id] for _, edge, _ in adjacency[v]} for v in map.vertices}
+    slots: dict[str, list[int]] = {vertex: [] for vertex in map.vertices}
+    for edge in map.edges:
+        slots[edge.tail].append(edge_slot[edge.id])
+        slots[edge.head].append(edge_slot[edge.id])
     for end in map.ends:
-        slots[end.vertex].add(end.label)
-    return {vertex: VertexProfile(slots[vertex], routes[vertex]) for vertex in map.vertices}
+        slots[end.vertex].append(end.label)
+    for vertex in map.vertices:
+        check_valence(len(slots[vertex]), len(routes[vertex]))
+    return {v: VertexProfile(slots[v], table) for v, table in routes.items() if table}
 
 
 def multiplicity(map: StableMap, crossratios: Sequence[CrossRatio] = ()) -> Count:
     """Multiplicity of the map under its conditions.
 
     The absolute determinant of the evaluation matrix times the
-    product, over all vertices, of the cross-ratio multiplicity of the
-    vertex's profile.  Raises if the map is malformed, if the matrix is
-    not square (the conditions do not make the map rigid), if some
-    cross-ratio has no satisfying vertex, or if some vertex violates
-    the valence equation.
+    product, over the vertices holding a cross-ratio, of the cross-ratio
+    multiplicity of the vertex's profile; a trivalent vertex without
+    cross-ratios counts 1 and gets no profile.  Raises if the map is
+    malformed, if some cross-ratio has no satisfying vertex, if some
+    vertex violates the valence equation, or if the matrix is not square
+    (the conditions do not make the map rigid).
     """
     map.check()
-    profiles = _vertex_profiles(map, crossratios)
     product = 1
-    for profile in profiles.values():
-        if profile.routes:
-            product *= cross_ratio_multiplicity(profile)
-        else:
-            profile.check_valence()  # a trivalent vertex without cross-ratios counts 1
+    for profile in _vertex_profiles(map, crossratios).values():
+        product *= cross_ratio_multiplicity(profile)
     matrix = ev_matrix(map)
     if not matrix.is_square:
         raise ValueError(
@@ -576,49 +582,76 @@ def check_split_multiplicity(
     return SplitReport(ONE_ONE, full, predicted, parts, (relations[0], relations[1]))
 
 
+def _is_vec(value: object) -> bool:
+    """Whether a JSON value is a list of two integers, as ``json_checked(value, what, 2)`` wants."""
+    return type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int
+
+
+def _edge_from_dict(e: Mapping) -> BoundedEdge:
+    """One edge of a document; its fields are named only when one of them misfits."""
+    id, tail, head, direction = e.get("id"), e.get("tail"), e.get("head"), e.get("direction")
+    weight = e.get("weight", 1)
+    if type(id) is type(tail) is type(head) is str and type(weight) is int and _is_vec(direction):
+        return BoundedEdge(id, tail, head, tuple(direction), weight)
+    return BoundedEdge(
+        json_checked(e["id"], "edge id", leaf=str),
+        json_checked(e["tail"], f"tail of edge {e['id']}", leaf=str),
+        json_checked(e["head"], f"head of edge {e['id']}", leaf=str),
+        json_checked(e["direction"], f"direction of edge {e['id']}", 2),
+        json_checked(e.get("weight", 1), f"weight of edge {e['id']}"),
+    )
+
+
+def _end_from_dict(item: Mapping) -> End:
+    """One end of a document; its fields are named only when one of them misfits."""
+    label, vertex, direction = item.get("label"), item.get("vertex"), item.get("direction")
+    if type(label) is int and type(vertex) is str and _is_vec(direction):
+        return End(label, vertex, tuple(direction), _tag(item.get("condition"), label))
+    label = json_checked(item["label"], "end label")
+    tag = _tag(item.get("condition"), label)
+    direction = json_checked(item["direction"], f"direction of end {label}", 2)
+    vertex = json_checked(item["vertex"], f"vertex of end {label}", leaf=str)
+    return End(label, vertex, direction, tag)
+
+
+def _tag(condition: object, label: Label) -> EndTag | None:
+    """The tag that the condition of end ``label`` gives it, if it has one."""
+    if condition is None:
+        return None
+    if type(condition) is not dict:
+        json_checked(condition, f"condition of end {label}", leaf=dict)
+    kind = condition.get("kind")
+    if kind == "point":
+        return EndTag.point()
+    if kind == "line":
+        normal = json_checked(condition["normal"], f"normal of end {label}", 2)
+        weight = json_checked(condition.get("weight", 1), f"weight of end {label}")
+        return EndTag.line(normal, weight)
+    if kind == "degenerated line":
+        return EndTag.degenerated(json_checked(condition["type"], "type", leaf=str))
+    if kind == "free":
+        return EndTag.free()
+    raise ValueError(f"end {label}: unknown condition kind {kind!r}")
+
+
 def stablemap_from_dict(data: Mapping) -> tuple[StableMap, list[CrossRatio]]:
-    """Parse a ``stablemap/1`` document into a map and its cross-ratios."""
+    """Parse a ``stablemap/1`` document into a map and its cross-ratios.
+
+    Each edge and end has its fields typed in one test; only on a misfit
+    are they checked one by one, in document order, so that the error
+    names the field.
+    """
     if data.get("schema") != "stablemap/1":
         raise ValueError(f"expected schema stablemap/1, got {data.get('schema')!r}")
     try:
         vertices = json_checked(data["vertices"], "vertices", 0, leaf=str)
-        edges = tuple(
-            BoundedEdge(
-                json_checked(e["id"], "edge id", leaf=str),
-                json_checked(e["tail"], f"tail of edge {e['id']}", leaf=str),
-                json_checked(e["head"], f"head of edge {e['id']}", leaf=str),
-                json_checked(e["direction"], f"direction of edge {e['id']}", 2),
-                json_checked(e.get("weight", 1), f"weight of edge {e['id']}"),
-            )
-            for e in json_checked(data["edges"], "edges", 0, leaf=dict)
-        )
-        ends = []
-        for item in json_checked(data["ends"], "ends", 0, leaf=dict):
-            label = json_checked(item["label"], "end label")
-            condition = item.get("condition")
-            tag = None
-            if condition is not None:
-                kind = json_checked(condition, f"condition of end {label}", leaf=dict).get("kind")
-                if kind == "point":
-                    tag = EndTag.point()
-                elif kind == "line":
-                    normal = json_checked(condition["normal"], f"normal of end {label}", 2)
-                    weight = json_checked(condition.get("weight", 1), f"weight of end {label}")
-                    tag = EndTag.line(normal, weight)
-                elif kind == "degenerated line":
-                    tag = EndTag.degenerated(json_checked(condition["type"], "type", leaf=str))
-                elif kind == "free":
-                    tag = EndTag.free()
-                else:
-                    raise ValueError(f"end {label}: unknown condition kind {kind!r}")
-            direction = json_checked(item["direction"], f"direction of end {label}", 2)
-            vertex = json_checked(item["vertex"], f"vertex of end {label}", leaf=str)
-            ends.append(End(label, vertex, direction, tag))
-        map = StableMap(vertices, edges, tuple(ends), json_checked(data["base"], "base"))
+        edges = tuple(map(_edge_from_dict, json_checked(data["edges"], "edges", 0, leaf=dict)))
+        ends = tuple(map(_end_from_dict, json_checked(data["ends"], "ends", 0, leaf=dict)))
+        plane_map = StableMap(vertices, edges, ends, json_checked(data["base"], "base"))
         crossratios = [
             CrossRatio.of(*entry)
             for entry in json_checked(data.get("crossratios", []), "crossratios", 0, 0)
         ]
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in stablemap file") from None
-    return map, crossratios
+    return plane_map, crossratios

@@ -7,6 +7,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +309,49 @@ def test_integer_determinant_matches_exact_elimination_on_sparse_matrices(rows):
     assert integer_determinant(rows) == fraction_determinant(rows)
 
 
+def _leibniz(rows) -> int:
+    """The determinant as the signed sum over permutations, sign by inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+_SPARSE_ENTRIES = [0] * 24 + [-3, -2, -1, 1, 2, 3]  # about 20 % nonzero
+
+
+@st.composite
+def small_matrices(draw):
+    """n x n, n <= 6, entries -3..3: dense, about 20 % sparse, or with a zero or repeated row."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(["dense", "sparse", "zero row", "repeated row"]))
+    entries = st.sampled_from(_SPARSE_ENTRIES) if shape == "sparse" else st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        rows[i] = [0] * n
+    elif shape == "repeated row" and i != j:
+        rows[i] = list(rows[j])
+    return rows
+
+
+@given(small_matrices(), st.data())
+def test_integer_determinant_is_the_signed_leibniz_sum(rows, data):
+    n = len(rows)
+    value = integer_determinant(rows)
+    assert value == _leibniz(rows)
+    if any(not any(row) for row in rows) or len(set(map(tuple, rows))) < n:
+        assert value == 0
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if a != b:
+        swapped = [list(row) for row in rows]
+        for row in swapped:
+            row[a], row[b] = row[b], row[a]
+        assert integer_determinant(swapped) == -value
+
+
 def _perfbench_module(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -336,9 +380,24 @@ def test_benchmark_maps_match_the_independent_oracle():
         assert integer_determinant(rows) == oracles.fraction_determinant(rows), name
 
 
-def _ev_matrix_by_paths(plane_map: StableMap):
-    """(rows, row labels, columns) with one ``path`` search from the base per row."""
+def _ev_matrix_by_climbing(plane_map: StableMap):
+    """(rows, row labels, columns), each conditioned end climbing to the base on its own.
+
+    The parent table comes from a breadth-first search written here, so the
+    reference shares no tree walk with ``ev_matrix``.
+    """
+    neighbours = {vertex: [] for vertex in plane_map.vertices}
+    for edge in plane_map.edges:
+        neighbours[edge.tail].append((edge.head, edge, 1))
+        neighbours[edge.head].append((edge.tail, edge, -1))
     base_vertex = plane_map.end(plane_map.base).vertex
+    parent = {base_vertex: None}
+    queue = [base_vertex]
+    for here in queue:
+        for far, edge, sign in neighbours[here]:
+            if far not in parent:
+                parent[far] = (here, edge, sign)
+                queue.append(far)
     length_edges = [edge for edge in plane_map.edges if not edge.contracted]
     column_of = {edge.id: 2 + i for i, edge in enumerate(length_edges)}
     rows, labels = [], []
@@ -346,7 +405,9 @@ def _ev_matrix_by_paths(plane_map: StableMap):
         if end.tag is None or end.tag.kind == "free":
             continue
         position = [[1, 0] + [0] * len(length_edges), [0, 1] + [0] * len(length_edges)]
-        for edge, sign in plane_map.path(base_vertex, end.vertex):
+        here = end.vertex
+        while parent[here] is not None:
+            here, edge, sign = parent[here]
             if not edge.contracted:
                 for coord in range(2):
                     position[coord][column_of[edge.id]] = sign * edge.vector[coord]
@@ -361,10 +422,44 @@ def _ev_matrix_by_paths(plane_map: StableMap):
 
 
 def test_single_walk_keeps_the_evaluation_matrix():
+    # the four fixtures and the benchmark's draw_map maps, d = 4..8
     for name, doc in _benchmark_maps():
         plane_map, _ = stablemap_from_dict(doc)
         matrix = ev_matrix(plane_map)
-        assert (matrix.rows, matrix.row_labels, matrix.columns) == _ev_matrix_by_paths(plane_map), name
+        expected = _ev_matrix_by_climbing(plane_map)
+        assert (matrix.rows, matrix.row_labels, matrix.columns) == expected, name
+
+
+def _deep_tripod(length: int) -> StableMap:
+    """A tripod whose (1, 1) leg is a chain of ``length`` vertices, a free end at each.
+
+    The base point sits at the centre and a second point at the tip.
+    """
+    chain = [f"c{i}" for i in range(length)]
+    edges = tuple(
+        BoundedEdge(f"e{i}", tail, head, (1, 1))
+        for i, (tail, head) in enumerate(zip(["o"] + chain, chain))
+    )
+    ends = [
+        End(1, "o", (0, 0), EndTag.point()),
+        End(2, "o", (-1, 0), None),
+        End(3, "o", (0, -1), None),
+        End(4, chain[-1], (1, 1), None),
+        End(5, chain[-1], (0, 0), EndTag.point()),
+    ]
+    ends += [End(6 + i, vertex, (0, 0), EndTag.free()) for i, vertex in enumerate(chain[:-1])]
+    return StableMap(("o", *chain), edges, tuple(ends), 1)
+
+
+def test_ev_matrix_walks_a_deep_chain_without_recursion():
+    deep = _deep_tripod(3000)
+    deep.check()
+    matrix = ev_matrix(deep)
+    assert matrix.row_labels == ("1.x", "1.y", "5.x", "5.y")
+    assert len(matrix.columns) == 2 + 3000
+    assert matrix.rows[2] == (1, 0) + (1,) * 3000
+    assert matrix.rows[3] == (0, 1) + (1,) * 3000
+    assert matrix.rows == _ev_matrix_by_climbing(deep)[0]
 
 
 def test_multiplicity_requires_a_square_matrix():
