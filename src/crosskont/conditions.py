@@ -282,6 +282,8 @@ _MAX_LISTINGS = 720
 # (kind rank, weight, membership vector): a label's condition and which
 # listed cross-ratios hold it.  Labels with equal rows are interchangeable.
 Row = tuple[int, int, tuple[bool, ...]]
+# A class key: its degree and its rows with their counts, (kind rank, weight, membership, n).
+Key = tuple[int, tuple[tuple[int, int, tuple[bool, ...], int], ...]]
 
 
 def condition_row(cond: EndCondition, membership: tuple[bool, ...]) -> Row:
@@ -299,7 +301,7 @@ def label_rows(inst: Instance) -> dict[Row, int]:
     return dict(collections.Counter(map(label_row(inst), inst.labels)))
 
 
-def rows_key(degree: int, rows: Mapping[Row, int]) -> bytes:
+def rows_key(degree: int, rows: Mapping[Row, int]) -> Key:
     """Fingerprint of the instance with this degree and these row counts.
 
     An instance is fixed up to relabelling by its degree and the
@@ -308,7 +310,8 @@ def rows_key(degree: int, rows: Mapping[Row, int]) -> bytes:
     weight, membership count) of their entries, permuting only runs of
     equal signatures.  Past ``_MAX_LISTINGS`` such listings it keeps
     the given order within each run: equal keys still mean isomorphic
-    instances, but relabelled copies may no longer share one.
+    instances, but relabelled copies may no longer share one.  The key
+    is that least multiset as a sorted tuple, after the degree.
     """
     width = len(next(iter(rows))[2]) if rows else 0
     orders = [range(width)] if width < 2 else _listings(rows, width)
@@ -321,7 +324,7 @@ def rows_key(degree: int, rows: Mapping[Row, int]) -> bytes:
         )
         for order in orders
     )
-    return repr((degree, best)).encode()
+    return degree, tuple(best)
 
 
 def _listings(rows: Mapping[Row, int], width: int) -> list[list[int]]:
@@ -340,7 +343,7 @@ def _listings(rows: Mapping[Row, int], width: int) -> list[list[int]]:
     return [list(itertools.chain(*listing)) for listing in permuted]
 
 
-def canonical_key(inst: Instance) -> bytes:
+def canonical_key(inst: Instance) -> Key:
     """Fingerprint invariant under relabelling of the contracted ends.
 
     It is the :func:`rows_key` of the instance's :func:`label_rows`;

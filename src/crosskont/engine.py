@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterator, Mapping, Optional
 
 from .conditions import (
     FREE,
@@ -29,6 +29,7 @@ from .conditions import (
     POINT,
     Count,
     Instance,
+    Key,
     Pairing,
     Row,
     canonical_key,
@@ -145,18 +146,19 @@ def base_no_crossratios(inst: Instance) -> Count:
 base_degree_zero = base_no_crossratios  # perfbench/tracing.py times stars under this second name
 
 
-def _choices(columns: Sequence[Sequence], row: Callable, points: bool) -> Iterator[tuple]:
-    """The resolutions of a class whose cross-ratio j has the entries ``columns[j]``.
+def _choices(width: int, column: Callable, row: Callable, points: bool) -> Iterator[tuple]:
+    """The resolutions of a class whose cross-ratio j has the entries ``column(j)``.
 
     Yields (cross-ratio, its entries with side 1's pair first, the kept
     pairs, 0 for side 1's and 1 for side 2's, or None), the default
     first; ``row`` gives an entry's row.  With points: every cross-ratio,
-    from the last one down, under each of its three pairings.  Without
-    points: every cross-ratio, from the last one down, under each
-    pairing with an admissible pair of multi line entries.  It keeps
-    those pairs and any pair of one line and one free end: a line meets
-    a degenerate (12|34) where it passes through L1 ∩ L2 or L3 ∩ L4, and,
-    for a free end 2, where the free point p2 sits on it at L1 (see
+    from the last one down, under each of its three pairings, its
+    entries listed only when reached.  Without points: every
+    cross-ratio, from the last one down, under each pairing with an
+    admissible pair of multi line entries.  It keeps those pairs and
+    any pair of one line and one free end: a line meets a degenerate
+    (12|34) where it passes through L1 ∩ L2 or L3 ∩ L4, and, for a free
+    end 2, where the free point p2 sits on it at L1 (see
     :func:`_isolates`).  A line pair is not admissible when another
     cross-ratio holds it with two more lines: isolating it forces those
     two to the far side, and that cross-ratio can be satisfied on
@@ -166,17 +168,22 @@ def _choices(columns: Sequence[Sequence], row: Callable, points: bool) -> Iterat
     order, on the shapes the README lists.
     """
     line, free = KIND_RANK[LINE], KIND_RANK[FREE]
-    full = [j for j, column in enumerate(columns) if all(row(x)[0] == line for x in column)]
-    for last in range(len(columns) - 1, -1, -1):
-        entries = columns[last]
+    # without points, the cross-ratios of lines alone, each of which may bar a line pair it holds
+    full = [] if points else [j for j in range(width) if all(row(x)[0] == line for x in column(j))]
+    for last in range(width - 1, -1, -1):
+        entries = column(last)
+        if points:
+            for order in (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2):  # its three pairings
+                yield last, tuple(entries[i] for i in order), None
+            continue
         ranks, _, vecs = zip(*map(row, entries))
         tied = lambda a, b: any(j != last and vecs[a][j] and vecs[b][j] for j in full)
         lines = itertools.combinations([i for i in range(4) if ranks[i] == line], 2)
-        pairs = [(0, 1), (0, 2), (0, 3)] if points else [p for p in lines if not tied(*p)]
+        pairs = [p for p in lines if not tied(*p)]
         kept = lambda p: p in pairs or {ranks[i] for i in p} == {line, free}
         rest = lambda p: tuple(i for i in range(4) if i not in p)
         for order in dict.fromkeys(p + rest(p) if 0 in p else rest(p) + p for p in pairs):
-            picked = None if points else tuple(k for k in (0, 1) if kept(order[2 * k : 2 * k + 2]))
+            picked = tuple(k for k in (0, 1) if kept(order[2 * k : 2 * k + 2]))
             yield last, tuple(entries[i] for i in order), picked
 
 
@@ -185,26 +192,31 @@ def resolution_choices(inst: Instance) -> Iterator[tuple[Pairing, Choice]]:
 
     Each comes with its pairing, as the trace, the battery and ``eval --check`` read it.
     """
-    row = label_row(inst)
-    for last, labels, kept in _choices(list(map(list, inst.crossratios)), row, bool(inst.points)):
+    row, crossratios = label_row(inst), inst.crossratios
+    listed = _choices(len(crossratios), lambda j: list(crossratios[j]), row, bool(inst.points))
+    for last, labels, kept in listed:
         yield Pairing(labels[:2], labels[2:]), (last, tuple(map(row, labels)), kept)
 
 
 def _row_choices(rows: Mapping[Row, int]) -> Iterator[Choice]:
     """:func:`_choices` of a class from its rows, the default first.
 
-    Each cross-ratio's four entry rows are sorted and listed 1st, 3rd,
-    2nd, 4th.  With points the default thus pairs the 1st with the 3rd
-    and the 2nd with the 4th, so equal rows end up on opposite sides:
-    on ``multi(9, 5)`` that sums 28,381 orbit terms, against 38,858 by
-    a representative's label order and 64,143 pairing the 1st with the 2nd.
+    Each cross-ratio's four entry rows are sorted, when it is reached,
+    and listed 1st, 3rd, 2nd, 4th.  With points the default thus pairs
+    the 1st with the 3rd and the 2nd with the 4th, so equal rows end up
+    on opposite sides: on ``multi(9, 5)`` that sums 28,381 orbit terms,
+    against 38,858 by a representative's label order and 64,143 pairing
+    the 1st with the 2nd.
     Without points the listing barely matters (831 orbit terms over the
     240 free-end instances of the tests, 810 with the rows sorted).
     """
-    width = len(next(iter(rows))[2])
-    listed = [sorted(r for r, n in rows.items() if r[2][j] for _ in range(n)) for j in range(width)]
+
+    def column(j: int) -> tuple[Row, ...]:
+        a, b, c, d = sorted(r for r, n in rows.items() if r[2][j] for _ in range(n))
+        return a, c, b, d
+
     points = any(rank == KIND_RANK[POINT] for rank, _, _ in rows)
-    return _choices([(a, c, b, d) for a, b, c, d in listed], lambda row: row, points)
+    return _choices(len(next(iter(rows))[2]), column, lambda row: row, points)
 
 
 def _isolates(orbit: Orbit, kept: tuple[int, ...]) -> bool:
@@ -250,8 +262,8 @@ class Engine:
         if max_nodes < 1:
             raise ValueError("max_nodes must be positive")
         self.max_nodes = max_nodes
-        self._memo: dict[bytes, Count] = {}
-        self._exact: dict[tuple, bytes] = {}
+        self._memo: dict[Key, Count] = {}
+        self._exact: dict[tuple, Key] = {}
         self._nodes = 0
         self._terms = 0
 
@@ -275,7 +287,7 @@ class Engine:
     def _eval(self, inst: Instance) -> Count:
         return self._memo[self._key(inst.degree, label_rows(inst))]
 
-    def _node(self, key: bytes, degree: int, rows: Mapping[Row, int]) -> Count:
+    def _node(self, key: Key, degree: int, rows: Mapping[Row, int]) -> Count:
         """Value the class ``key`` of ``degree`` and ``rows`` into the memo."""
         self._nodes += 1
         if self._nodes > self.max_nodes:
@@ -291,7 +303,7 @@ class Engine:
         return value
 
     def _walk(
-        self, inst: Instance, key: bytes, seen: set[bytes], head: str, pad: str
+        self, inst: Instance, key: Key, seen: set[Key], head: str, pad: str
     ) -> Generator[str, None, Count]:
         """Yield the trace of ``inst``, of class ``key``, after ``head``; return its value.
 
@@ -343,7 +355,7 @@ class Engine:
                 self._terms += 1
         return value
 
-    def _key(self, degree: int, rows: Mapping[Row, int]) -> bytes:
+    def _key(self, degree: int, rows: Mapping[Row, int]) -> Key:
         """Class key of ``degree`` and ``rows``, valued into the memo on a miss."""
         exact = degree, frozenset(rows.items())
         if exact in self._exact:

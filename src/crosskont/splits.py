@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .conditions import (
-    FREE,
     KIND_RANK,
-    POINT,
     CrossRatio,
     EndCondition,
     Instance,
@@ -153,7 +150,8 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
     placed holds two.  Those counts route the cross-ratios, fix the
     degrees and give both sides' kind counts.  A side's rows (its fresh
     end in the cross-ratios its side holds three entries of) are built
-    only when :attr:`Orbit.rows` is read.
+    only when :attr:`Orbit.rows` is read, and the parent rows are
+    projected on a route's columns on the first read among its orbits.
     """
     others = [j for j in range(len(pinned[0][2])) if j != last]
     blocks = [(row, n) for row, n in rows.items() if not row[2][last]]
@@ -176,33 +174,35 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
         closing[b].append(i)
     if any(n == 2 for i, n in enumerate(near) if i not in last_holder):
         return []
-    routes: dict[tuple[bool, ...], tuple] = {}
+    all_points, all_lines, all_free = totals
+    routes: dict[tuple[bool, ...], tuple] = {}  # the columns each side keeps, projected on first read
     orbits: list[Orbit] = []
 
     def close(weight: int) -> None:
         on1 = tuple(n >= 3 for n in near)
         if on1 not in routes:
             cols = [[j for j, on in zip(others, on1) if on == side] for side in (True, False)]
-            projected = [[(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent] for c in cols]
-            routes[on1] = sum(on1), tuple(map(frozenset, cols)), projected
-        routed, crossratios, projected = routes[on1]
+            routes[on1] = sum(on1), tuple(map(frozenset, cols)), cols, []
+        routed, crossratios, cols, projected = routes[on1]
+        points, lines, free = kinds  # in KIND_RANK order
         # Side 1 contributes only with deficiency 3 d1 + surplus in 0..2, which
         # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
-        surplus = kinds[KIND_RANK[FREE]] - kinds[KIND_RANK[POINT]] - routed
+        surplus = free - points - routed
         d1 = -(surplus // 3)
         if not 0 <= d1 <= degree:
             return
         delta = 3 * d1 + surplus
         kind = KIND_OF_DEFICIENCIES[delta, 2 - delta]
-        add1, add2 = _E_KINDS[kind]
-        side_kinds = (
-            tuple(map(operator.add, kinds, add1)),
-            tuple(map(operator.sub, map(operator.add, totals, add2), kinds)),
-        )
+        (p1, l1, f1), (p2, l2, f2) = _E_KINDS[kind]
+        kinds1 = points + p1, lines + l1, free + f1
+        kinds2 = all_points + p2 - points, all_lines + l2 - lines, all_free + f2 - free
         counts, near_now, built = tuple(taken[4:]), tuple(near), []
 
         def side_rows() -> tuple[dict[Row, int], dict[Row, int]]:
             if not built:
+                if not projected:  # the route's first read
+                    for c in cols:
+                        projected.append([(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent])
                 end1, end2 = _E_CONDITIONS[kind]
                 rows1 = {condition_row(end1, tuple(n == 3 for n in near_now if n >= 3)): 1}
                 rows2 = {condition_row(end2, tuple(n == 1 for n in near_now if n < 3)): 1}
@@ -214,7 +214,7 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
                 built.append((rows1, rows2))
             return built[0]
 
-        sides = (d1, degree - d1), crossratios, side_kinds, side_rows
+        sides = (d1, degree - d1), crossratios, (kinds1, kinds2), side_rows
         orbits.append(Orbit(kind, weight, counts, *sides))
 
     def place(b: int, weight: int) -> None:

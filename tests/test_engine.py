@@ -26,7 +26,17 @@ from crosskont import (
     evaluate_invariance_battery,
     kontsevich,
 )
-from crosskont.conditions import FREE, LINE, all_pairings, canonical_key, label_rows, rows_key
+from crosskont.conditions import (
+    FREE,
+    KIND_RANK,
+    LINE,
+    POINT,
+    all_pairings,
+    canonical_key,
+    label_row,
+    label_rows,
+    rows_key,
+)
 from crosskont.engine import (
     Engine,
     _isolates,
@@ -567,12 +577,27 @@ GOLDEN_NODES = {
     "eval-multi-48": 59, "eval-multi-92": 122, "eval-multi-110": 15, "eval-multi-2": 42,
 }
 
+# Engine()._terms after evaluate, the orbit terms summed (1,071 in all): a
+# change to the default choice or to the zero-orbit skip shows up here.
+GOLDEN_TERMS = {
+    "eval-multi-1": 20, "eval-multi-36": 18, "eval-multi-14": 29, "eval-multi-12": 63,
+    "eval-multi-19": 54, "eval-multi-43": 28, "eval-multi-37": 104, "eval-multi-72": 10,
+    "eval-multi-40": 104, "eval-multi-5": 25, "eval-multi-67": 74, "eval-multi-4": 168,
+    "eval-multi-48": 127, "eval-multi-92": 171, "eval-multi-110": 8, "eval-multi-2": 68,
+}
+
 
 @pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_node_count_is_pinned_on_the_golden_shapes(shape):
     engine = Engine()
     engine.evaluate(golden_instance(shape))
     assert engine._nodes == GOLDEN_NODES[shape["id"]]
+    assert engine._terms == GOLDEN_TERMS[shape["id"]]
+
+
+def test_golden_term_pins_sum_to_the_pass_total():
+    assert set(GOLDEN_TERMS) == set(GOLDEN_NODES) == {s["id"] for s in golden_eval_multi_shapes()}
+    assert sum(GOLDEN_TERMS.values()) == 1_071
 
 
 # Engine()._nodes of the family at d = 2..5, by line weights: 2 d + 1 for
@@ -699,11 +724,70 @@ def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
     # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
-    # after it).
+    # after it), the summed orbit terms once the choices were listed lazily.
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
         assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
-    assert engine._nodes == nodes
+    assert (engine._nodes, engine._terms) == (nodes, 5_050 if reverse else 4_321)
+
+
+def _eager_choices(columns, row, points):
+    """Reference listing of the resolution choices: every column listed and sorted up front."""
+    line, free = KIND_RANK[LINE], KIND_RANK[FREE]
+    full = [j for j, column in enumerate(columns) if all(row(x)[0] == line for x in column)]
+    for last in range(len(columns) - 1, -1, -1):
+        entries = columns[last]
+        ranks, _, vecs = zip(*map(row, entries))
+        tied = lambda a, b: any(j != last and vecs[a][j] and vecs[b][j] for j in full)
+        lines = itertools.combinations([i for i in range(4) if ranks[i] == line], 2)
+        pairs = [(0, 1), (0, 2), (0, 3)] if points else [p for p in lines if not tied(*p)]
+        kept = lambda p: p in pairs or {ranks[i] for i in p} == {line, free}
+        rest = lambda p: tuple(i for i in range(4) if i not in p)
+        for order in dict.fromkeys(p + rest(p) if 0 in p else rest(p) + p for p in pairs):
+            picked = None if points else tuple(k for k in (0, 1) if kept(order[2 * k : 2 * k + 2]))
+            yield last, tuple(entries[i] for i in order), picked
+
+
+def _eager_row_choices(rows):
+    width = len(next(iter(rows))[2])
+    listed = [sorted(r for r, n in rows.items() if r[2][j] for _ in range(n)) for j in range(width)]
+    points = any(rank == KIND_RANK[POINT] for rank, _, _ in rows)
+    return _eager_choices([(a, c, b, d) for a, b, c, d in listed], lambda row: row, points)
+
+
+def test_lazy_choices_list_what_the_eager_listing_did(monkeypatch):
+    # Every row set the engine resolves, with points (golden shapes,
+    # multi(7, 6)) and without (the free-end sample), lists the same choices
+    # in the same order: the reverse-order check reads the whole list.
+    resolved = []
+    row_choices = engine_module._row_choices
+
+    def recording(rows):
+        resolved.append(dict(rows))
+        return row_choices(rows)
+
+    monkeypatch.setattr(engine_module, "_row_choices", recording)
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), _multi(7, 6)]
+    for inst in [*roots, *_free_end_sample(60, seed=7)]:
+        Engine().evaluate(inst)
+    no_points = [rows for rows in resolved if all(rank != KIND_RANK[POINT] for rank, _, _ in rows)]
+    assert len(resolved) > 3_000 and len(no_points) > 100
+    for rows in resolved:
+        assert list(row_choices(rows)) == list(_eager_row_choices(rows))
+
+
+def test_lazy_resolution_choices_list_what_the_eager_listing_did():
+    checked = 0
+    for inst in CORPUS:
+        row = label_row(inst)
+        eager = _eager_choices(list(map(list, inst.crossratios)), row, bool(inst.points))
+        expected = [
+            (Pairing(labels[:2], labels[2:]), (last, tuple(map(row, labels)), kept))
+            for last, labels, kept in eager
+        ]
+        assert list(resolution_choices(inst)) == expected
+        checked += len(expected)
+    assert checked > len(CORPUS)
 
 
 def _shape(degree, points, lines, r, classes, free=0):

@@ -20,7 +20,7 @@ from crosskont import (
     enumerate_splits,
     validate,
 )
-from crosskont.conditions import all_pairings, deficiency, label_rows
+from crosskont.conditions import Key, all_pairings, deficiency, label_rows
 from crosskont.splits import (
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
@@ -195,7 +195,7 @@ def _side1_counts(inst: Instance, last: int, split: Split) -> frozenset:
     return frozenset(counts.items())
 
 
-def _sub_keys(inst: Instance, split: Split) -> tuple[bytes, bytes]:
+def _sub_keys(inst: Instance, split: Split) -> tuple[Key, Key]:
     pair = build_subinstances(inst, split)
     return canonical_key(pair.side1), canonical_key(pair.side2)
 
@@ -429,3 +429,24 @@ def test_orbit_members_keep_the_product_order_on_the_golden_split_nodes(shape):
             _check_members(node, *choice)
             checked += 1
     assert checked
+
+
+def _built_rows(inst: Instance, split: Split) -> tuple[dict, dict]:
+    pair = build_subinstances(inst, split)
+    return label_rows(pair.side1), label_rows(pair.side2)
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_side_rows_hold_whichever_orbit_of_a_route_is_read_first(shape):
+    # A route projects its parent rows when one of its orbits first reads
+    # its rows: read them last to first, then, on a second call, only every
+    # other orbit, so another orbit of a route goes first.
+    read = 0
+    for node, choice in split_nodes(golden_instance(shape)):
+        if choice is not None:
+            for split, orbit in reversed(list(orbit_splits(node, *choice))):
+                assert orbit.rows == _built_rows(node, split)
+                read += 1
+            for split, orbit in itertools.islice(orbit_splits(node, *choice), 1, None, 2):
+                assert orbit.rows == _built_rows(node, split)
+    assert read
