@@ -96,18 +96,50 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
     """Whether a class counts 0 from its counts alone: the one statement of the zero rule.
 
     ``kinds`` counts its points, multi lines and free ends, indexed by
-    :data:`KIND_RANK`, and ``crossratios`` its cross-ratios.  Of
-    positive degree, a class with a free end and no cross-ratio counts
-    0: its points are in excess.  Of degree zero, a star counts 0 unless
-    it is rigid: pinned to the intersection of two multi lines with
-    l + 1 free ends, or to one point with l + 2 free ends, for l
-    cross-ratios.  Any other shape leaves the vertex loose or
-    over-determined.  :func:`base_from_rows` reads it from a class's
-    rows, :func:`_zero_side` from an orbit side's counts.
+    :data:`KIND_RANK`, and ``crossratios`` its cross-ratios.
+
+    Of positive degree, a well-posed class has exactly as many
+    conditions, by codimension, as its curves have dimensions.  Take a
+    set F of its free ends and the set C(F) of cross-ratios holding any
+    of them.  The other conditions (points, lines and the cross-ratios
+    holding no end of F) are pulled back along the forgetful map that
+    drops F, whose target has |F| dimensions fewer (Gathmann, Kerber and
+    Markwig, Compositio Math. 145 (2009); for cross-ratios, Goldner,
+    Math. Z. 297 (2021)).  They fall |C(F)| short of the source's
+    dimension, so they are |F| - |C(F)| in excess on the target, and
+    when that is positive no curve meets general ones: the class counts
+    0 unless every set of free ends lies in at least as many
+    cross-ratios, Hall's condition between free ends and cross-ratios.
+    From counts alone this reads F = {f}, C(F) = ∅: a free end and no
+    cross-ratio.  :func:`_fails_hall` reads every F from the rows of a
+    class with cross-ratios.
+
+    Of degree zero, a star counts 0 unless it is rigid: pinned to the
+    intersection of two multi lines with l + 1 free ends, or to one
+    point with l + 2 free ends, for l cross-ratios.  Any other shape
+    leaves the vertex loose or over-determined.  :func:`base_from_rows`
+    reads it from a class's rows, :func:`_zero_side` from an orbit
+    side's counts.
     """
     if degree:
         return kinds[KIND_RANK[FREE]] > 0 and not crossratios
     return kinds not in ((0, 2, crossratios + 1), (1, 0, crossratios + 2))
+
+
+def _fails_hall(rows: Mapping[Row, int]) -> bool:
+    """Whether the free ends of a class with cross-ratios fail the rule of :func:`_vanishes`.
+
+    Tries every set of distinct free rows, 2^k sets for k of them: a set
+    fails when its ends outnumber the cross-ratios their membership
+    vectors cover.
+    """
+    free = KIND_RANK[FREE]
+    sums = [(0, 0)]  # (free ends, cross-ratios covered as a bitmask) of each set
+    for (rank, _, vec), n in rows.items():
+        if rank == free:
+            mask = sum(1 << j for j, x in enumerate(vec) if x)
+            sums += [(s + n, m | mask) for s, m in sums]
+    return any(s > m.bit_count() for s, m in sums)
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
@@ -249,10 +281,11 @@ class Engine:
     A class, fixed up to relabelling by its degree and row counts, is
     memoized under their :func:`rows_key`.  :meth:`_node` values every
     class from its rows, building no instance below the root: by
-    :func:`base_from_rows` if it needs no split, else as the sum over the
-    split orbits (:func:`orbit_rows`) of the first of :func:`_row_choices`,
-    skipping those with a side that :func:`_vanishes` before either
-    side's rows are built.  :meth:`_key` finds a class, root or side, by
+    :func:`base_from_rows` if it needs no split, 0 if its free ends
+    :func:`_fails_hall`, else as the sum over the split orbits
+    (:func:`orbit_rows`) of the first of :func:`_row_choices`, skipping
+    those with a side that :func:`_vanishes` before either side's rows
+    are built.  :meth:`_key` finds a class, root or side, by
     its degree and exact rows; only rows met first pay for :func:`rows_key`.
     ``max_nodes`` counts the distinct classes valued; the trace also values
     the sides of skipped orbits.
@@ -266,6 +299,7 @@ class Engine:
         self._exact: dict[tuple, Key] = {}
         self._nodes = 0
         self._terms = 0
+        self._hall_zeros = 0  # classes valued 0 by :func:`_fails_hall`, without a split
 
     def evaluate(self, inst: Instance) -> Count:
         """Count the curves of ``inst``."""
@@ -296,6 +330,9 @@ class Engine:
             )
         if degree == 0 or not next(iter(rows))[2]:  # membership vectors span the cross-ratios
             value = base_from_rows(degree, rows)
+        elif _fails_hall(rows):
+            self._hall_zeros += 1
+            value = 0
         else:
             choice = next(_row_choices(rows), None)
             value = 0 if choice is None else self._orbit_sum(degree, rows, choice)

@@ -39,6 +39,7 @@ from crosskont.conditions import (
 )
 from crosskont.engine import (
     Engine,
+    _fails_hall,
     _isolates,
     _zero_side,
     base_degree_zero,
@@ -569,21 +570,22 @@ def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
 
 # Engine()._nodes after evaluate, as recorded once every class was resolved
 # from its rows (1,287 classes before the zero-orbit skip, 704 after it, 716
-# now).
+# before the free-end rule, 677 now).
 GOLDEN_NODES = {
     "eval-multi-1": 26, "eval-multi-36": 18, "eval-multi-14": 24, "eval-multi-12": 34,
-    "eval-multi-19": 42, "eval-multi-43": 29, "eval-multi-37": 68, "eval-multi-72": 12,
+    "eval-multi-19": 42, "eval-multi-43": 25, "eval-multi-37": 62, "eval-multi-72": 12,
     "eval-multi-40": 73, "eval-multi-5": 26, "eval-multi-67": 51, "eval-multi-4": 75,
-    "eval-multi-48": 59, "eval-multi-92": 122, "eval-multi-110": 15, "eval-multi-2": 42,
+    "eval-multi-48": 59, "eval-multi-92": 93, "eval-multi-110": 15, "eval-multi-2": 42,
 }
 
-# Engine()._terms after evaluate, the orbit terms summed (1,071 in all): a
-# change to the default choice or to the zero-orbit skip shows up here.
+# Engine()._terms after evaluate, the orbit terms summed (996 in all, 1,071
+# before the free-end rule): a change to the default choice, to the
+# zero-orbit skip or to the free-end rule shows up here.
 GOLDEN_TERMS = {
     "eval-multi-1": 20, "eval-multi-36": 18, "eval-multi-14": 29, "eval-multi-12": 63,
-    "eval-multi-19": 54, "eval-multi-43": 28, "eval-multi-37": 104, "eval-multi-72": 10,
+    "eval-multi-19": 54, "eval-multi-43": 24, "eval-multi-37": 96, "eval-multi-72": 10,
     "eval-multi-40": 104, "eval-multi-5": 25, "eval-multi-67": 74, "eval-multi-4": 168,
-    "eval-multi-48": 127, "eval-multi-92": 171, "eval-multi-110": 8, "eval-multi-2": 68,
+    "eval-multi-48": 127, "eval-multi-92": 108, "eval-multi-110": 8, "eval-multi-2": 68,
 }
 
 
@@ -597,7 +599,7 @@ def test_node_count_is_pinned_on_the_golden_shapes(shape):
 
 def test_golden_term_pins_sum_to_the_pass_total():
     assert set(GOLDEN_TERMS) == set(GOLDEN_NODES) == {s["id"] for s in golden_eval_multi_shapes()}
-    assert sum(GOLDEN_TERMS.values()) == 1_071
+    assert sum(GOLDEN_TERMS.values()) == 996
 
 
 # Engine()._nodes of the family at d = 2..5, by line weights: 2 d + 1 for
@@ -617,12 +619,12 @@ def test_node_count_is_pinned_on_the_family(degree, weights):
 def test_trace_values_the_classes_the_evaluation_skips():
     # The trace walks the orbits the evaluation skips too, and resolves each
     # node by its labels, valuing the classes it meets lazily: eval-multi-92
-    # values 122 classes, its trace 400.
+    # values 93 classes, its trace 371 (122 and 400 before the free-end rule).
     shape = next(s for s in golden_eval_multi_shapes() if s["id"] == "eval-multi-92")
     engine = Engine()
     lines = list(engine.trace(golden_instance(shape)))
     assert lines[-1] == f"  = {shape['count']}"
-    assert engine._nodes == 400
+    assert engine._nodes == 371
 
 
 def _check_skipped_orbits(inst) -> int:
@@ -719,16 +721,128 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order():
     assert calls
 
 
-@pytest.mark.parametrize("reverse, nodes", [(False, 606), (True, 535)])
+@pytest.mark.parametrize("reverse, nodes", [(False, 591), (True, 533)])
 def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
     # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
-    # after it), the summed orbit terms once the choices were listed lazily.
+    # after it), the summed orbit terms once the choices were listed lazily
+    # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule).
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
         assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
-    assert (engine._nodes, engine._terms) == (nodes, 5_050 if reverse else 4_321)
+    assert (engine._nodes, engine._terms) == (nodes, 4_954 if reverse else 4_213)
+
+
+# Engine()._hall_zeros after evaluate: the classes the free-end rule valued 0.
+GOLDEN_HALL_ZEROS = {
+    "eval-multi-1": 0, "eval-multi-36": 4, "eval-multi-14": 3, "eval-multi-12": 2,
+    "eval-multi-19": 4, "eval-multi-43": 10, "eval-multi-37": 7, "eval-multi-72": 2,
+    "eval-multi-40": 3, "eval-multi-5": 0, "eval-multi-67": 3, "eval-multi-4": 10,
+    "eval-multi-48": 20, "eval-multi-92": 37, "eval-multi-110": 4, "eval-multi-2": 0,
+}
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_free_end_rule_count_is_pinned_on_the_golden_shapes(shape):
+    engine = Engine()
+    engine.evaluate(golden_instance(shape))
+    assert engine._hall_zeros == GOLDEN_HALL_ZEROS[shape["id"]]
+
+
+def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch):
+    # Each class the rule values 0 is valued again with the rule off, by
+    # its splits.  The rule's subset loop runs over the distinct free rows
+    # of a class, at most 3 on these shapes.
+    shapes = golden_eval_multi_shapes()
+    instances = [*map(golden_instance, shapes), _multi(7, 6), _multi(8, 4)]
+    instances += _free_end_sample(60, seed=7)
+    valued, free_rows = [], set()  # (degree, rows) of each class the rule valued 0; free rows met
+    degrees = []  # of the classes being valued, innermost last
+    fails_hall = engine_module._fails_hall
+
+    def spy(rows):
+        free_rows.add(sum(rank == KIND_RANK[FREE] for rank, _, _ in rows))
+        if fails_hall(rows):
+            valued.append((degrees[-1], rows))
+            return True
+        return False
+
+    node = Engine._node
+
+    def recording(self, key, degree, rows):
+        degrees.append(degree)
+        try:
+            return node(self, key, degree, rows)
+        finally:
+            degrees.pop()
+
+    monkeypatch.setattr("crosskont.engine._fails_hall", spy)
+    monkeypatch.setattr(Engine, "_node", recording)
+    counts = [evaluate(inst) for inst in instances]
+    assert counts[: len(shapes)] == [shape["count"] for shape in shapes]
+    assert counts[len(shapes) : len(shapes) + 2] == [1_994_058, 197_523_577_376]
+    assert len(valued) > 500 and max(free_rows) == 3
+    monkeypatch.setattr("crosskont.engine._fails_hall", lambda rows: False)
+    off = Engine()
+    assert [off.evaluate(inst) for inst in instances] == counts
+    assert off._hall_zeros == 0
+    assert all(off._memo[off._key(degree, rows)] == 0 for degree, rows in valued)
+
+
+def _over_determined(inst: Instance) -> bool:
+    """Whether some set F of the free ends of ``inst`` lies in fewer than |F| cross-ratios."""
+    free = sorted(inst.free)
+    entries = [set(cr.entries) for cr in inst.crossratios]
+    subsets = (set(F) for k in range(1, len(free) + 1) for F in itertools.combinations(free, k))
+    return any(len(F) > sum(bool(F & cr) for cr in entries) for F in subsets)
+
+
+def _small_sample(size: int, seed: int) -> list[Instance]:
+    """``size`` random valid instances: d <= 3, 0-3 lines of weight 1 or 2, 0-3 free ends.
+
+    Each has 1-4 distinct cross-ratios, and as many points as that leaves.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < size:
+        degree, lines, free = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        r = rng.randint(1, 4)
+        points = 3 * degree - 1 - r + free
+        labels = range(1, points + lines + free + 1)
+        quadruples = list(itertools.combinations(labels, 4))
+        if points < 0 or len(quadruples) < r:
+            continue
+        found.append(
+            Instance.build(
+                degree,
+                points=labels[:points],
+                lines={x: rng.randint(1, 2) for x in labels[points : points + lines]},
+                free=labels[points + lines :],
+                crossratios=rng.sample(quadruples, r),
+            )
+        )
+    return found
+
+
+def test_instances_with_over_determined_free_ends_count_zero_without_the_rule(monkeypatch):
+    # A label-level check that shares no code with the engine's rule
+    # flags exactly the classes the rule values 0, below the golden shapes
+    # and at the roots of a sample, and each flagged root still counts 0
+    # with the rule off.  Only roots with three free ends fail by a set of
+    # several distinct rows and no smaller one.
+    roots = map(golden_instance, golden_eval_multi_shapes())
+    nodes = [node for root in roots for node, _ in split_nodes(root)]
+    assert list(map(_over_determined, nodes)) == [_fails_hall(label_rows(node)) for node in nodes]
+    sample = _small_sample(500, seed=11)
+    flagged = list(map(_over_determined, sample))
+    engines = [Engine() for _ in sample]
+    counts = [engine.evaluate(inst) for engine, inst in zip(engines, sample)]
+    assert [(e._nodes, e._hall_zeros) == (1, 1) for e in engines] == flagged
+    assert 100 < sum(flagged) < len(sample) - 100
+    monkeypatch.setattr("crosskont.engine._fails_hall", lambda rows: False)
+    assert [evaluate(inst) for inst in sample] == counts
+    assert all(count == 0 for count, flag in zip(counts, flagged) if flag)
 
 
 def _eager_choices(columns, row, points):
