@@ -67,6 +67,7 @@ from .splits import (
 )
 
 Vec = tuple[int, int]
+Parents = dict[str, tuple[str, "BoundedEdge", int]]  # a search tree: vertex -> (parent, edge, sign)
 
 DEGENERATED = "degenerated line"
 
@@ -235,42 +236,51 @@ class StableMap:
         if not base.contracted:
             raise ValueError("the base must be a contracted end")
 
-    def _parents(
-        self, root: str, cut: BoundedEdge | None = None
-    ) -> dict[str, tuple[str, BoundedEdge, int]]:
+    def _parents(self, root: str, cut: BoundedEdge | None = None) -> Parents:
         """Search tree towards ``root``, not crossing ``cut``; sign +1 when the edge points away.
 
         Every vertex is listed after its parent.
         """
-        parents: dict[str, tuple[str, BoundedEdge, int]] = {}
+        parents: Parents = {}
         adjacency: dict[str, list[tuple[str, BoundedEdge, int]]] = {v: [] for v in self.vertices}
         for edge in self.edges:
             adjacency[edge.tail].append((edge.head, edge, 1))
             adjacency[edge.head].append((edge.tail, edge, -1))
-        frontier = [root]
-        seen = {root}
-        while frontier:
-            here = frontier.pop()
+        queue = [root]
+        for here in queue:
             for other, edge, sign in adjacency[here]:
-                if other not in seen and edge is not cut:
-                    seen.add(other)
+                if other not in parents and other != root and edge is not cut:
                     parents[other] = (here, edge, sign)
-                    frontier.append(other)
+                    queue.append(other)
         return parents
 
-    def path(self, root: str, goal: str) -> list[tuple[BoundedEdge, int]]:
-        """Edges from ``root`` to ``goal`` with their traversal signs."""
-        parents = self._parents(root)
-        walk: list[tuple[BoundedEdge, int]] = []
-        here = goal
-        while here != root:
-            here, edge, sign = parents[here]
-            walk.append((edge, sign))
-        walk.reverse()
-        return walk
 
-    def path_vertices(self, start: str, goal: str) -> list[str]:
-        return [start] + [e.head if sign == 1 else e.tail for e, sign in self.path(start, goal)]
+def _path(parents: Parents, start: str, goal: str) -> list[str]:
+    """Vertices from ``start`` to ``goal``, both ends climbing the search tree in turn.
+
+    The climbs meet where one first reaches a vertex that the other has
+    passed, so the cost is the path's length.
+    """
+    climbs = ([start], [goal])
+    passed = ({start: 0}, {goal: 0})  # each climb's vertices and their positions on it
+    side = 1  # the climb that moved last
+    while climbs[side][-1] not in passed[1 - side]:
+        if climbs[1 - side][-1] in parents:
+            side = 1 - side
+        elif climbs[side][-1] not in parents:
+            raise ValueError("the underlying graph is not connected")
+        climbs[side].append(parents[climbs[side][-1]][0])
+        passed[side][climbs[side][-1]] = len(climbs[side]) - 1
+    meet = climbs[side][-1]
+    return climbs[0][: passed[0][meet] + 1] + climbs[1][: passed[1][meet]][::-1]
+
+
+def _meeting_vertex(parents: Parents, vertex_of: dict[Label, str], pairing: Pairing) -> str | None:
+    """The one vertex on the paths of both of the pairing's pairs, if there is one."""
+    (a, b), (c, d) = pairing.first, pairing.second
+    common = set(_path(parents, vertex_of[a], vertex_of[b]))
+    common &= set(_path(parents, vertex_of[c], vertex_of[d]))
+    return common.pop() if len(common) == 1 else None
 
 
 def find_satisfying_vertex(
@@ -280,19 +290,13 @@ def find_satisfying_vertex(
 
     The paths induced by the two pairs must meet in exactly one vertex;
     satisfaction is independent of the chosen pairing, so the default
-    pairing (two smallest entries grouped) decides it.
+    pairing (two smallest entries grouped) decides it.  Ends in different
+    components raise.
     """
     if pairing is None:
         pairing = all_pairings(cr)[0]
-    vertex_of = {}
-    for label in cr:
-        vertex_of[label] = map.end(label).vertex
-    first = map.path_vertices(vertex_of[pairing.first[0]], vertex_of[pairing.first[1]])
-    second = map.path_vertices(vertex_of[pairing.second[0]], vertex_of[pairing.second[1]])
-    common = set(first) & set(second)
-    if len(common) == 1:
-        return common.pop()
-    return None
+    vertex_of = {label: map.end(label).vertex for label in cr}
+    return _meeting_vertex(map._parents(vertex_of[pairing.first[0]]), vertex_of, pairing)
 
 
 @dataclass(frozen=True)
@@ -408,32 +412,29 @@ def _vertex_profiles(
     Every vertex's valence is checked, in ``map.vertices`` order, before
     any profile is built: one slot per adjacent edge and per end, 3 plus
     its cross-ratios in all.  Slot ids are end labels for ends and fresh
-    integers past the largest label for bounded edges.
+    integers past the largest label for bounded edges, keyed by the edge's
+    far vertex: an entry off the vertex leaves to the next one on its path.
     """
     slot_base = max((end.label for end in map.ends), default=0) + 1
-    edge_slot = {edge.id: slot_base + i for i, edge in enumerate(map.edges)}
+    slots: dict[str, dict[str | Label, int]] = {vertex: {} for vertex in map.vertices}
+    for slot, edge in enumerate(map.edges, slot_base):
+        slots[edge.tail][edge.head] = slots[edge.head][edge.tail] = slot
+    for end in map.ends:
+        slots[end.vertex][end.label] = end.label
     routes: dict[str, dict[int, dict[Label, int]]] = {vertex: {} for vertex in map.vertices}
+    parents = map._parents(map.vertices[0]) if crossratios else {}
     for j, cr in enumerate(crossratios):
-        vertex = find_satisfying_vertex(map, cr)
+        vertex_of = {entry: map.end(entry).vertex for entry in cr}
+        vertex = _meeting_vertex(parents, vertex_of, all_pairings(cr)[0])
         if vertex is None:
             raise ValueError(f"cross-ratio {sorted(cr.entries)} has no satisfying vertex")
-        table = routes[vertex][j] = {}
-        for entry in cr:
-            end = map.end(entry)
-            if end.vertex == vertex:
-                table[entry] = entry
-            else:
-                first_edge = map.path(vertex, end.vertex)[0][0]
-                table[entry] = edge_slot[first_edge.id]
-    slots: dict[str, list[int]] = {vertex: [] for vertex in map.vertices}
-    for edge in map.edges:
-        slots[edge.tail].append(edge_slot[edge.id])
-        slots[edge.head].append(edge_slot[edge.id])
-    for end in map.ends:
-        slots[end.vertex].append(end.label)
+        routes[vertex][j] = {
+            entry: slots[vertex][entry if at == vertex else _path(parents, vertex, at)[1]]
+            for entry, at in vertex_of.items()
+        }
     for vertex in map.vertices:
         check_valence(len(slots[vertex]), len(routes[vertex]))
-    return {v: VertexProfile(slots[v], table) for v, table in routes.items() if table}
+    return {v: VertexProfile(slots[v].values(), table) for v, table in routes.items() if table}
 
 
 def multiplicity(map: StableMap, crossratios: Sequence[CrossRatio] = ()) -> Count:
@@ -448,9 +449,8 @@ def multiplicity(map: StableMap, crossratios: Sequence[CrossRatio] = ()) -> Coun
     (the conditions do not make the map rigid).
     """
     map.check()
-    product = 1
-    for profile in _vertex_profiles(map, crossratios).values():
-        product *= cross_ratio_multiplicity(profile)
+    profiles = _vertex_profiles(map, crossratios).values()
+    product = math.prod(cross_ratio_multiplicity(profile) for profile in profiles)
     matrix = ev_matrix(map)
     if not matrix.is_square:
         raise ValueError(
@@ -534,15 +534,14 @@ def check_split_multiplicity(
         raise ValueError(f"edge {edge_id!r} is not contracted")
     full = multiplicity(map, crossratios)
     component1 = {cut.tail, *map._parents(cut.tail, cut)}
-    component2 = {cut.head, *map._parents(cut.head, cut)}
+    component2 = set(map.vertices) - component1
     fresh1 = max(end.label for end in map.ends) + 1
     fresh2 = fresh1 + 1
     labels1 = frozenset(end.label for end in map.ends if end.vertex in component1)
     routed = route_groups([cr.entries for cr in crossratios], labels1)
     if routed is None:
         raise ValueError(f"a cross-ratio has two entries on each side of edge {edge_id!r}")
-    crs1 = [crossratios[j] for j in routed[0]]
-    crs2 = [crossratios[j] for j in routed[1]]
+    crs1, crs2 = ([crossratios[j] for j in group] for group in routed)
 
     def side_deficiency(component: set[str], crs: list[CrossRatio]) -> int:
         ends = [e for e in map.ends if e.vertex in component]

@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosskont import CrossRatio, stablemap
-from crosskont.conditions import all_pairings
+from crosskont.conditions import Pairing, all_pairings
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED
 from crosskont.stablemap import (
     BoundedEdge,
@@ -460,6 +461,128 @@ def test_ev_matrix_walks_a_deep_chain_without_recursion():
     assert matrix.rows[2] == (1, 0) + (1,) * 3000
     assert matrix.rows[3] == (0, 1) + (1,) * 3000
     assert matrix.rows == _ev_matrix_by_climbing(deep)[0]
+
+
+def _exit_slots(plane_map: StableMap) -> dict[str, dict[int, tuple[str, object]]]:
+    """Per vertex, the slot by which each end's path leaves it.
+
+    An end at the vertex leaves by itself, ``("end", label)``; any other
+    end by the first edge towards it, ``("edge", id)``.  Every vertex runs
+    a breadth-first search written here, so the reference shares no tree
+    walk with the package.
+    """
+    neighbours = {vertex: [] for vertex in plane_map.vertices}
+    for edge in plane_map.edges:
+        neighbours[edge.tail].append((edge.head, edge.id))
+        neighbours[edge.head].append((edge.tail, edge.id))
+    exits = {}
+    for vertex in plane_map.vertices:
+        first_edge = {vertex: None}
+        queue = [vertex]
+        for here in queue:
+            for far, edge_id in neighbours[here]:
+                if far not in first_edge:
+                    first_edge[far] = edge_id if here == vertex else first_edge[here]
+                    queue.append(far)
+        exits[vertex] = {}
+        for end in plane_map.ends:
+            edge_id = first_edge[end.vertex]
+            exits[vertex][end.label] = ("end", end.label) if edge_id is None else ("edge", edge_id)
+    return exits
+
+
+def _reference_satisfying_vertex(exits, entries) -> str | None:
+    """The vertex at which the four entries leave by four distinct slots, if any."""
+    found = [vertex for vertex, exit in exits.items() if len({exit[e] for e in entries}) == 4]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def test_satisfying_vertex_matches_the_distinct_exit_reference():
+    # every 4-subset of ends on the four fixtures, 25 seeded ones on each drawn map
+    rng = random.Random(1)
+    checked = 0
+    for name, doc in _benchmark_maps():
+        plane_map, _ = stablemap_from_dict(doc)
+        exits = _exit_slots(plane_map)
+        labels = sorted(end.label for end in plane_map.ends)
+        if name.startswith("fixture-"):
+            subsets = list(itertools.combinations(labels, 4))
+        else:
+            subsets = [rng.sample(labels, 4) for _ in range(25)]
+        for subset in subsets:
+            cr = CrossRatio.of(*subset)
+            expected = _reference_satisfying_vertex(exits, subset)
+            for pairing in all_pairings(cr):
+                assert find_satisfying_vertex(plane_map, cr, pairing) == expected, (name, pairing)
+            checked += 1
+    assert checked == sum(math.comb(n, 4) for n in (7, 7, 17, 12)) + 70 * 25
+
+
+def test_route_tables_match_the_distinct_exit_reference():
+    for name, doc in _benchmark_maps()[:4]:
+        plane_map, crossratios = stablemap_from_dict(doc)
+        exits = _exit_slots(plane_map)
+        slot_base = max(end.label for end in plane_map.ends) + 1
+        slot_of = {("end", end.label): end.label for end in plane_map.ends}
+        slot_of |= {("edge", edge.id): slot_base + i for i, edge in enumerate(plane_map.edges)}
+        expected = {}
+        for j, cr in enumerate(crossratios):
+            vertex = _reference_satisfying_vertex(exits, cr.entries)
+            expected.setdefault(vertex, {})[j] = {e: slot_of[exits[vertex][e]] for e in cr}
+        profiles = stablemap._vertex_profiles(plane_map, crossratios)
+        assert {v: dict(profile.routes) for v, profile in profiles.items()} == expected, name
+
+
+@pytest.mark.parametrize("name", ["c2_01.json", "c2_10.json", "split_1_1.json", "split_2_0.json"])
+def test_one_tree_search_per_map_question(monkeypatch, name):
+    plane_map, crossratios = load_map(name)
+    searches = []
+    search = StableMap._parents
+    monkeypatch.setattr(
+        StableMap, "_parents", lambda self, *args: searches.append(args) or search(self, *args)
+    )
+    multiplicity(plane_map, crossratios)
+    # check, the cross-ratios' profiles and ev_matrix
+    assert len(searches) <= 3
+    for cr in crossratios:
+        for pairing in all_pairings(cr):
+            searches.clear()
+            find_satisfying_vertex(plane_map, cr, pairing)
+            assert len(searches) == 1
+
+
+def test_satisfying_vertex_across_a_deep_chain_without_recursion():
+    deep = _deep_tripod(3000)
+    deep.check()
+    # 1, 2 and 3 sit at the centre and leave it by themselves, 5 at the tip leaves by e0
+    reaching = CrossRatio.of(1, 2, 3, 5)
+    for pairing in all_pairings(reaching):
+        assert find_satisfying_vertex(deep, reaching, pairing) == "o"
+    # 4 and 5 sit at the tip, 1 and 6 both leave it by e2999 down the chain
+    folded = CrossRatio.of(1, 4, 5, 6)
+    for pairing in all_pairings(folded):
+        assert find_satisfying_vertex(deep, folded, pairing) is None
+    # the edge slots start past the largest label, 6 + 2998
+    routes = stablemap._vertex_profiles(deep, [reaching])["o"].routes
+    assert routes == {0: {1: 1, 2: 2, 3: 3, 5: 3005}}
+
+
+def test_satisfying_vertex_across_components_is_a_value_error():
+    apart = StableMap(
+        ("u", "w"),
+        (),
+        (
+            End(1, "u", (0, 0), EndTag.point()),
+            End(3, "u", (0, 0), EndTag.free()),
+            End(2, "w", (0, 0), EndTag.free()),
+            End(4, "w", (0, 0), EndTag.free()),
+        ),
+        1,
+    )
+    cr = CrossRatio.of(1, 2, 3, 4)
+    with pytest.raises(ValueError, match="not connected"):
+        find_satisfying_vertex(apart, cr, Pairing.of((1, 2), (3, 4)))
 
 
 def test_multiplicity_requires_a_square_matrix():
