@@ -361,6 +361,7 @@ class Engine:
         (a, b), (c, d) = pairing.first, pairing.second
         yield f"{pad}  resolve cr ({a} {b} | {c} {d})"
         nest = [(f"{pad}    side {i}: ", pad + "    ") for i in (1, 2)]  # each side's head and pad
+        built = {}  # each orbit's side rows by its counts, unique among one node's orbits
         for split, orbit in orbit_members(inst, last, pairing):
             if kept is None or _isolates(orbit, kept):
                 s1, s2 = (
@@ -369,7 +370,8 @@ class Engine:
                 )
                 yield f"{pad}  split [{split.kind}] ({s1} | {s2})"
                 sub = build_subinstances(inst, split)
-                keys = map(self._key, orbit.degrees, orbit.rows)  # side 2's after side 1's walk
+                rows = built[orbit.counts] = built.get(orbit.counts) or orbit.rows
+                keys = map(self._key, orbit.degrees, rows)  # side 2's after side 1's walk
                 left = yield from self._walk(sub.side1, next(keys), seen, *nest[0])
                 right = yield from self._walk(sub.side2, next(keys), seen, *nest[1])
                 yield f"{pad}  term {left} * {right} = {left * right}"

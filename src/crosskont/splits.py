@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .conditions import (
     KIND_RANK,
@@ -117,7 +117,9 @@ class Orbit(NamedTuple):
     ``degrees``, ``crossratios`` (indices), ``kinds`` (points, lines and
     free ends) and :attr:`rows` are each side's, fresh end included:
     those of the sub-instances :func:`build_subinstances` builds from
-    any member.
+    any member; ``near`` counts each remaining cross-ratio's entries on
+    side 1, and ``route`` gives each parent row's projections on both
+    sides' columns and its size, shared by the orbits that route alike.
     """
 
     kind: str
@@ -126,12 +128,21 @@ class Orbit(NamedTuple):
     degrees: tuple[int, int]
     crossratios: tuple[frozenset[int], frozenset[int]]
     kinds: tuple[tuple[int, int, int], tuple[int, int, int]]
-    side_rows: Callable[[], tuple[dict[Row, int], dict[Row, int]]]
+    near: tuple[int, ...]
+    route: tuple[tuple[Row, Row, int], ...]
 
     @property
     def rows(self) -> tuple[dict[Row, int], dict[Row, int]]:
-        """Each side's row counts, built on first use and then kept."""
-        return self.side_rows()
+        """Each side's row counts, built from :attr:`route` on each read."""
+        end1, end2 = _E_CONDITIONS[self.kind]
+        rows1 = {condition_row(end1, tuple(n == 3 for n in self.near if n >= 3)): 1}
+        rows2 = {condition_row(end2, tuple(n == 1 for n in self.near if n < 3)): 1}
+        for (row1, row2, size), k in zip(self.route, (1, 1, 0, 0, *self.counts)):
+            if k:
+                rows1[row1] = rows1.get(row1, 0) + k
+            if k < size:
+                rows2[row2] = rows2.get(row2, 0) + size - k
+        return rows1, rows2
 
 
 def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Row]) -> list[Orbit]:
@@ -148,10 +159,9 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
     carrying each remaining cross-ratio's entries and each kind's labels
     on side 1; a branch stops once a cross-ratio whose last block is
     placed holds two.  Those counts route the cross-ratios, fix the
-    degrees and give both sides' kind counts.  A side's rows (its fresh
-    end in the cross-ratios its side holds three entries of) are built
-    only when :attr:`Orbit.rows` is read, and the parent rows are
-    projected on a route's columns on the first read among its orbits.
+    degrees and give both sides' kind counts.  The parent rows are
+    projected on a route's columns once, when the route first appears,
+    and every orbit of the route shares that :attr:`Orbit.route`.
     """
     others = [j for j in range(len(pinned[0][2])) if j != last]
     blocks = [(row, n) for row, n in rows.items() if not row[2][last]]
@@ -175,15 +185,16 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
     if any(n == 2 for i, n in enumerate(near) if i not in last_holder):
         return []
     all_points, all_lines, all_free = totals
-    routes: dict[tuple[bool, ...], tuple] = {}  # the columns each side keeps, projected on first read
+    routes: dict[tuple[bool, ...], tuple] = {}  # side 1's count, the sides' cross-ratios, the route
     orbits: list[Orbit] = []
 
     def close(weight: int) -> None:
         on1 = tuple(n >= 3 for n in near)
         if on1 not in routes:
             cols = [[j for j, on in zip(others, on1) if on == side] for side in (True, False)]
-            routes[on1] = sum(on1), tuple(map(frozenset, cols)), cols, []
-        routed, crossratios, cols, projected = routes[on1]
+            projected = [[(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent] for c in cols]
+            routes[on1] = sum(on1), tuple(map(frozenset, cols)), tuple(zip(*projected, sizes))
+        routed, crossratios, route = routes[on1]
         points, lines, free = kinds  # in KIND_RANK order
         # Side 1 contributes only with deficiency 3 d1 + surplus in 0..2, which
         # fixes d1; on a valid instance side 2's deficiency is 2 minus it.
@@ -196,26 +207,8 @@ def orbit_rows(degree: int, rows: dict[Row, int], last: int, pinned: Sequence[Ro
         (p1, l1, f1), (p2, l2, f2) = _E_KINDS[kind]
         kinds1 = points + p1, lines + l1, free + f1
         kinds2 = all_points + p2 - points, all_lines + l2 - lines, all_free + f2 - free
-        counts, near_now, built = tuple(taken[4:]), tuple(near), []
-
-        def side_rows() -> tuple[dict[Row, int], dict[Row, int]]:
-            if not built:
-                if not projected:  # the route's first read
-                    for c in cols:
-                        projected.append([(r, w, tuple(map(v.__getitem__, c))) for r, w, v in parent])
-                end1, end2 = _E_CONDITIONS[kind]
-                rows1 = {condition_row(end1, tuple(n == 3 for n in near_now if n >= 3)): 1}
-                rows2 = {condition_row(end2, tuple(n == 1 for n in near_now if n < 3)): 1}
-                for row1, row2, k, size in zip(*projected, (1, 1, 0, 0, *counts), sizes):
-                    if k:
-                        rows1[row1] = rows1.get(row1, 0) + k
-                    if k < size:
-                        rows2[row2] = rows2.get(row2, 0) + size - k
-                built.append((rows1, rows2))
-            return built[0]
-
-        sides = (d1, degree - d1), crossratios, (kinds1, kinds2), side_rows
-        orbits.append(Orbit(kind, weight, counts, *sides))
+        sides = (d1, degree - d1), crossratios, (kinds1, kinds2), tuple(near), route
+        orbits.append(Orbit(kind, weight, tuple(taken[4:]), *sides))
 
     def place(b: int, weight: int) -> None:
         if b == len(blocks):

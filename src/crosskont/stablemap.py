@@ -291,12 +291,16 @@ def find_satisfying_vertex(
     The paths induced by the two pairs must meet in exactly one vertex;
     satisfaction is independent of the chosen pairing, so the default
     pairing (two smallest entries grouped) decides it.  Ends in different
-    components raise.
+    components raise, and an unknown root or edge end with :meth:`StableMap.check`'s message.
     """
     if pairing is None:
         pairing = all_pairings(cr)[0]
     vertex_of = {label: map.end(label).vertex for label in cr}
-    return _meeting_vertex(map._parents(vertex_of[pairing.first[0]]), vertex_of, pairing)
+    try:
+        return _meeting_vertex(map._parents(vertex_of[pairing.first[0]]), vertex_of, pairing)
+    except KeyError:  # an unknown vertex
+        map.check()
+        raise
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,22 @@ def one_cross_ratio_family(degree: int, wa: int = 1, wb: int = 1) -> Instance:
     )
 
 
+def multi(degree: int, r: int) -> Instance:
+    """The ``multi(d, r)`` shape: many cross-ratios over two lines.
+
+    Points 1..n with n = 3d - 1 - r, lines a = n + 1 of weight 1 and
+    b = n + 2 of weight 2, and the first r of six cross-ratios.
+    """
+    n = 3 * degree - 1 - r
+    a, b = n + 1, n + 2
+    crossratios = [
+        [1, 2, a, b], [3, 4, a, 5], [1, 6, b, 7], [2, 3, 8, 9], [5, 10, 11, a], [6, 12, 13, b]
+    ]
+    return Instance.build(
+        degree, points=list(range(1, n + 1)), lines={a: 1, b: 2}, crossratios=crossratios[:r]
+    )
+
+
 def _golden_shapes(pool: str) -> list[dict]:
     path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / f"{pool}.json"
     return json.loads(path.read_text())["shapes"]

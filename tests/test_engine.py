@@ -56,6 +56,7 @@ from corpus import (
     SMALL,
     golden_eval_multi_shapes,
     golden_instance,
+    multi,
     one_cross_ratio_family,
     orbit_splits,
     resolved_in_reverse,
@@ -691,32 +692,16 @@ def test_skipping_zero_orbits_keeps_every_count(monkeypatch):
     assert [evaluate(inst) for inst in instances] == counts
 
 
-def _multi(degree: int, r: int) -> Instance:
-    """The ``multi(d, r)`` shape: many cross-ratios over two lines.
-
-    Points 1..n with n = 3d - 1 - r, lines a = n + 1 of weight 1 and
-    b = n + 2 of weight 2, and the first r of six cross-ratios.
-    """
-    n = 3 * degree - 1 - r
-    a, b = n + 1, n + 2
-    crossratios = [
-        [1, 2, a, b], [3, 4, a, 5], [1, 6, b, 7], [2, 3, 8, 9], [5, 10, 11, a], [6, 12, 13, b]
-    ]
-    return Instance.build(
-        degree, points=list(range(1, n + 1)), lines={a: 1, b: 2}, crossratios=crossratios[:r]
-    )
-
-
 def test_counts_hold_with_every_node_resolved_in_reverse_order():
     # The battery varies the root's choice only; this varies it at every node.
-    multi = _multi(7, 6)
-    assert evaluate(multi) == 1_994_058
+    frontier = multi(7, 6)
+    assert evaluate(frontier) == 1_994_058
     sample = _free_end_sample(60, seed=7)
     counts = [evaluate(inst) for inst in sample]
     with resolved_in_reverse() as calls:
         for shape in golden_eval_multi_shapes():
             assert evaluate(golden_instance(shape)) == shape["count"], shape["id"]
-        assert evaluate(multi) == 1_994_058
+        assert evaluate(frontier) == 1_994_058
         assert [evaluate(inst) for inst in sample] == counts
     assert calls
 
@@ -730,7 +715,7 @@ def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule).
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
-        assert engine.evaluate(_multi(8, 4)) == 197_523_577_376
+        assert engine.evaluate(multi(8, 4)) == 197_523_577_376
     assert (engine._nodes, engine._terms) == (nodes, 4_954 if reverse else 4_213)
 
 
@@ -755,7 +740,7 @@ def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch
     # its splits.  The rule's subset loop runs over the distinct free rows
     # of a class, at most 3 on these shapes.
     shapes = golden_eval_multi_shapes()
-    instances = [*map(golden_instance, shapes), _multi(7, 6), _multi(8, 4)]
+    instances = [*map(golden_instance, shapes), multi(7, 6), multi(8, 4)]
     instances += _free_end_sample(60, seed=7)
     valued, free_rows = [], set()  # (degree, rows) of each class the rule valued 0; free rows met
     degrees = []  # of the classes being valued, innermost last
@@ -881,7 +866,7 @@ def test_lazy_choices_list_what_the_eager_listing_did(monkeypatch):
         return row_choices(rows)
 
     monkeypatch.setattr(engine_module, "_row_choices", recording)
-    roots = [*map(golden_instance, golden_eval_multi_shapes()), _multi(7, 6)]
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6)]
     for inst in [*roots, *_free_end_sample(60, seed=7)]:
         Engine().evaluate(inst)
     no_points = [rows for rows in resolved if all(rank != KIND_RANK[POINT] for rank, _, _ in rows)]
@@ -980,7 +965,7 @@ def test_count_is_multilinear_in_line_weights(data):
 
 def test_evaluation_builds_no_instance_below_the_root(monkeypatch):
     # Every class below the root is valued from its degree and rows alone.
-    roots = [*map(golden_instance, golden_eval_multi_shapes()), _multi(7, 6)]
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6)]
     built = []
     init = Instance.__post_init__
 

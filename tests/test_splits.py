@@ -20,7 +20,7 @@ from crosskont import (
     enumerate_splits,
     validate,
 )
-from crosskont.conditions import Key, all_pairings, deficiency, label_rows
+from crosskont.conditions import Key, all_pairings, deficiency, label_row, label_rows
 from crosskont.splits import (
     ONE_ONE,
     TWO_ZERO_SIDE1_FIXED,
@@ -28,6 +28,7 @@ from crosskont.splits import (
     Split,
     SplitSide,
     orbit_members,
+    orbit_rows,
     route_groups,
 )
 
@@ -431,6 +432,37 @@ def test_orbit_members_keep_the_product_order_on_the_golden_split_nodes(shape):
     assert checked
 
 
+def _check_values(inst: Instance, last: int, pairing: Pairing) -> int:
+    """Check that the orbits are plain values; return how many there are."""
+    row = label_row(inst)
+    args = inst.degree, label_rows(inst), last, [row(x) for x in (*pairing.first, *pairing.second)]
+    orbits = orbit_rows(*args)
+    assert orbits == orbit_rows(*args)
+    for orbit in orbits:
+        assert not any(map(callable, orbit))
+        assert orbit.rows == orbit.rows
+    return len(orbits)
+
+
+def test_orbit_records_are_values_on_the_corpus():
+    cases = orbits = 0
+    for inst in CORPUS:
+        for last in range(len(inst.crossratios)):
+            for pairing in all_pairings(inst.crossratios[last]):
+                orbits += _check_values(inst, last, pairing)
+                cases += 1
+    assert cases == 183 and orbits > cases
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_orbit_records_are_values_on_the_golden_split_nodes(shape):
+    checked = 0
+    for node, choice in split_nodes(golden_instance(shape)):
+        if choice is not None:
+            checked += _check_values(node, *choice)
+    assert checked
+
+
 def _built_rows(inst: Instance, split: Split) -> tuple[dict, dict]:
     pair = build_subinstances(inst, split)
     return label_rows(pair.side1), label_rows(pair.side2)
@@ -438,9 +470,10 @@ def _built_rows(inst: Instance, split: Split) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
 def test_side_rows_hold_whichever_orbit_of_a_route_is_read_first(shape):
-    # A route projects its parent rows when one of its orbits first reads
-    # its rows: read them last to first, then, on a second call, only every
-    # other orbit, so another orbit of a route goes first.
+    # Every orbit of a route shares the parent rows projected once, and
+    # builds its own rows from them on each read: read them last to first,
+    # then, on a second call, only every other orbit, so no order of reads
+    # can leave one orbit's rows in another's.
     read = 0
     for node, choice in split_nodes(golden_instance(shape)):
         if choice is not None:

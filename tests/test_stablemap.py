@@ -568,6 +568,27 @@ def test_satisfying_vertex_across_a_deep_chain_without_recursion():
     assert routes == {0: {1: 1, 2: 2, 3: 3, 5: 3005}}
 
 
+def test_satisfying_vertex_on_an_unchecked_map_raises_the_checks_message():
+    free = lambda label, vertex: End(label, vertex, (0, 0), EndTag.free())
+    stray_end = StableMap(("u",), (), (free(1, "x"), *(free(i, "u") for i in (2, 3, 4))), 1)
+    stray_edge = StableMap(
+        ("u", "w"),
+        (BoundedEdge("e", "u", "z", (1, 0)),),
+        tuple(free(i, "u") for i in (1, 2, 3, 4)),
+        1,
+    )
+    cr = CrossRatio.of(1, 2, 3, 4)
+    for plane_map, message in [
+        (stray_end, "end 1 sits at an unknown vertex"),
+        (stray_edge, "edge e touches an unknown vertex"),
+    ]:
+        for pairing in [None, *all_pairings(cr)]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                find_satisfying_vertex(plane_map, cr, pairing)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plane_map.check()
+
+
 def test_satisfying_vertex_across_components_is_a_value_error():
     apart = StableMap(
         ("u", "w"),
