@@ -193,7 +193,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ResourceLimitError, ValueError, OSError) as err:
+    except (ResourceLimitError, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -111,8 +111,9 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
     0 unless every set of free ends lies in at least as many
     cross-ratios, Hall's condition between free ends and cross-ratios.
     From counts alone this reads F = {f}, C(F) = ∅: a free end and no
-    cross-ratio.  :func:`_fails_hall` reads every F from the rows of a
-    class with cross-ratios.
+    cross-ratio.  :func:`_fails_hall` decides it for every F at once from
+    the rows of a class with cross-ratios, by matching each free end to a
+    cross-ratio of its own.
 
     Of degree zero, a star counts 0 unless it is rigid: pinned to the
     intersection of two multi lines with l + 1 free ends, or to one
@@ -129,17 +130,26 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
 def _fails_hall(rows: Mapping[Row, int]) -> bool:
     """Whether the free ends of a class with cross-ratios fail the rule of :func:`_vanishes`.
 
-    Tries every set of distinct free rows, 2^k sets for k of them: a set
-    fails when its ends outnumber the cross-ratios their membership
-    vectors cover.
+    The rule holds exactly when every free end can be matched to a
+    cross-ratio of its own that holds it.  Each end in turn seeks an
+    alternating path to an unmatched cross-ratio, depth first (Kuhn's
+    algorithm), so the search nests at most as deep as the ends matched.
     """
-    free = KIND_RANK[FREE]
-    sums = [(0, 0)]  # (free ends, cross-ratios covered as a bitmask) of each set
-    for (rank, _, vec), n in rows.items():
-        if rank == free:
-            mask = sum(1 << j for j, x in enumerate(vec) if x)
-            sums += [(s + n, m | mask) for s, m in sums]
-    return any(s > m.bit_count() for s, m in sums)
+    ends = [vec for (rank, _, vec), n in rows.items() if rank == KIND_RANK[FREE] for _ in range(n)]
+    if not ends:
+        return False
+    owner: dict[int, int] = {}  # each matched cross-ratio's free end
+
+    def match(end: int, seen: set[int]) -> bool:
+        for j, x in enumerate(ends[end]):
+            if x and j not in seen:
+                seen.add(j)
+                if j not in owner or match(owner[j], seen):
+                    owner[j] = end
+                    return True
+        return False
+
+    return not all(match(end, set()) for end in range(len(ends)))
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .conditions import (
     FREE,
@@ -236,11 +236,8 @@ class StableMap:
         if not base.contracted:
             raise ValueError("the base must be a contracted end")
 
-    def _parents(self, root: str, cut: BoundedEdge | None = None) -> Parents:
-        """Search tree towards ``root``, not crossing ``cut``; sign +1 when the edge points away.
-
-        Every vertex is listed after its parent.
-        """
+    def _parents(self, root: str) -> Parents:
+        """Search tree towards ``root``, parents before children; sign +1 on edges pointing away."""
         parents: Parents = {}
         adjacency: dict[str, list[tuple[str, BoundedEdge, int]]] = {v: [] for v in self.vertices}
         for edge in self.edges:
@@ -249,7 +246,7 @@ class StableMap:
         queue = [root]
         for here in queue:
             for other, edge, sign in adjacency[here]:
-                if other not in parents and other != root and edge is not cut:
+                if other not in parents and other != root:
                     parents[other] = (here, edge, sign)
                     queue.append(other)
         return parents
@@ -493,25 +490,31 @@ def _side_map(
     component: set[str],
     attach: str,
     fresh: Label,
-    tag: EndTag,
-) -> tuple[StableMap, list[CrossRatio]]:
-    """One side of a cut, with the new end ``fresh`` tagged at ``attach``.
+) -> tuple[StableMap, list[CrossRatio], int]:
+    """One side of a cut with the new end ``fresh`` free at ``attach``, and its deficiency.
 
     ``crossratios`` are those that follow this side; each has its entry
-    from the other side, if any, replaced by ``fresh``.
+    from the other side, if any, replaced by ``fresh``.  The ends are
+    sorted by label, so ``fresh``, past every label, is the last one, and
+    the deficiency is the side's before it.
     """
-    vertices = tuple(v for v in map.vertices if v in component)
-    edges = tuple(e for e in map.edges if e.tail in component and e.head in component)
-    ends = [e for e in map.ends if e.vertex in component]
+    ends = sorted((e for e in map.ends if e.vertex in component), key=lambda e: e.label)
     own = {end.label for end in ends}
-    ends.append(End(fresh, attach, (0, 0), tag))
     adapted = [CrossRatio(frozenset(x if x in own else fresh for x in cr)) for cr in crossratios]
-    base = min(
-        (end.label for end in ends if end.tag is not None and end.tag.kind == POINT),
-        default=fresh,
+    kinds = [end.tag.kind for end in ends if end.tag is not None]
+    degree = sum(1 for end in ends if end.direction == (-1, 0))
+    side = StableMap(
+        tuple(v for v in map.vertices if v in component),
+        tuple(e for e in map.edges if e.tail in component and e.head in component),
+        (*ends, End(fresh, attach, (0, 0), EndTag.free())),
+        min((end.label for end in ends if end.tag == _POINT_TAG), default=fresh),
     )
-    side = StableMap(vertices, edges, tuple(sorted(ends, key=lambda e: e.label)), base)
-    return side, adapted
+    return side, adapted, deficiency(degree, kinds, len(crossratios))
+
+
+def _retag(side: StableMap, tag: EndTag) -> StableMap:
+    """A side from :func:`_side_map` with its new end, the last one, tagged ``tag``."""
+    return replace(side, ends=(*side.ends[:-1], replace(side.ends[-1], tag=tag)))
 
 
 def check_split_multiplicity(
@@ -530,59 +533,43 @@ def check_split_multiplicity(
         |mult(C_1,10) mult(C_2,01) - mult(C_1,01) mult(C_2,10)|;
 
     additionally the determinant relation -det(M_10) + det(M_01) +
-    det(M_1-1) = 0 is reported per side.
+    det(M_1-1) = 0 is reported per side.  Each side is built once, and
+    every tag of its new end is put on that build.
     """
     map.check()
     cut = map.edge(edge_id)
     if not cut.contracted:
         raise ValueError(f"edge {edge_id!r} is not contracted")
     full = multiplicity(map, crossratios)
-    component1 = {cut.tail, *map._parents(cut.tail, cut)}
-    component2 = set(map.vertices) - component1
-    fresh1 = max(end.label for end in map.ends) + 1
-    fresh2 = fresh1 + 1
-    labels1 = frozenset(end.label for end in map.ends if end.vertex in component1)
+    far = {cut.head}  # side 2: the search from the tail lists each vertex after its parent
+    for vertex, (parent, _, _) in map._parents(cut.tail).items():
+        if parent in far:
+            far.add(vertex)
+    near = set(map.vertices) - far
+    fresh = max(end.label for end in map.ends) + 1
+    labels1 = frozenset(end.label for end in map.ends if end.vertex in near)
     routed = route_groups([cr.entries for cr in crossratios], labels1)
     if routed is None:
         raise ValueError(f"a cross-ratio has two entries on each side of edge {edge_id!r}")
     crs1, crs2 = ([crossratios[j] for j in group] for group in routed)
-
-    def side_deficiency(component: set[str], crs: list[CrossRatio]) -> int:
-        ends = [e for e in map.ends if e.vertex in component]
-        degree = sum(1 for e in ends if e.direction == (-1, 0))
-        return deficiency(degree, [e.tag.kind for e in ends if e.tag is not None], len(crs))
-
-    delta = (side_deficiency(component1, crs1), side_deficiency(component2, crs2))
-    kind = KIND_OF_DEFICIENCIES.get(delta)
+    side1, crs1, delta1 = _side_map(map, crs1, near, cut.tail, fresh)
+    side2, crs2, delta2 = _side_map(map, crs2, far, cut.head, fresh + 1)
+    kind = KIND_OF_DEFICIENCIES.get((delta1, delta2))
     if kind is None:
-        raise ValueError(f"deficiencies {delta} match no splitting identity")
-    sides = ((crs1, component1, cut.tail, fresh1), (crs2, component2, cut.head, fresh2))
-
-    def cut_side(which: int, tag: EndTag) -> tuple[StableMap, Count]:
-        crs, component, attach, fresh = sides[which - 1]
-        side, adapted = _side_map(map, crs, component, attach, fresh, tag)
-        return side, multiplicity(side, adapted)
-
+        raise ValueError(f"deficiencies {(delta1, delta2)} match no splitting identity")
     if kind != ONE_ONE:
         fixed1 = kind == TWO_ZERO_SIDE1_FIXED
-        _, m1 = cut_side(1, EndTag.free() if fixed1 else EndTag.point())
-        _, m2 = cut_side(2, EndTag.point() if fixed1 else EndTag.free())
+        m1 = multiplicity(side1 if fixed1 else _retag(side1, EndTag.point()), crs1)
+        m2 = multiplicity(_retag(side2, EndTag.point()) if fixed1 else side2, crs2)
         return SplitReport(kind, full, m1 * m2, (("side 1", m1), ("side 2", m2)))
-    values: dict[tuple[int, str], Count] = {}
-    determinants: dict[tuple[int, str], int] = {}
-    for which in (1, 2):
-        for code in ("10", "01", "1-1"):
-            variant, values[which, code] = cut_side(which, EndTag.degenerated(code))
-            determinants[which, code] = ev_matrix(variant).det()
-    predicted = abs(values[1, "10"] * values[2, "01"] - values[1, "01"] * values[2, "10"])
-    relations = tuple(
-        -determinants[i, "10"] + determinants[i, "01"] + determinants[i, "1-1"]
-        for i in (1, 2)
-    )
-    parts = tuple(
-        (f"side {i}, L_{code}", values[i, code]) for i in (1, 2) for code in ("10", "01")
-    )
-    return SplitReport(ONE_ONE, full, predicted, parts, (relations[0], relations[1]))
+    parts, relations = [], []
+    for i, side, crs in ((1, side1, crs1), (2, side2, crs2)):
+        l10, l01, l1_1 = (_retag(side, EndTag.degenerated(code)) for code in ("10", "01", "1-1"))
+        parts += [(f"side {i}, L_{c}", multiplicity(v, crs)) for c, v in (("10", l10), ("01", l01))]
+        relations.append(-ev_matrix(l10).det() + ev_matrix(l01).det() + ev_matrix(l1_1).det())
+    (_, c1_10), (_, c1_01), (_, c2_10), (_, c2_01) = parts
+    predicted = abs(c1_10 * c2_01 - c1_01 * c2_10)
+    return SplitReport(ONE_ONE, full, predicted, tuple(parts), (relations[0], relations[1]))
 
 
 def _is_vec(value: object) -> bool:

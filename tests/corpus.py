@@ -117,6 +117,23 @@ def multi(degree: int, r: int) -> Instance:
     )
 
 
+def free_row_ladder(k: int) -> dict:
+    """An ``instance/1`` document: degree 1, weight-1 lines 1-4 and free ends 5..k+4.
+
+    Each free end lies in a cross-ratio of its own with 1, 2 and 3, and
+    (1 2 3 4) and (1 2 4 5) come besides, so every free end has a row of
+    its own and can be matched to a cross-ratio of its own.
+    """
+    free = list(range(5, 5 + k))
+    return {
+        "schema": "instance/1",
+        "degree": 1,
+        "lines": [{"label": x, "weight": 1} for x in (1, 2, 3, 4)],
+        "free": free,
+        "crossratios": [[1, 2, 3, f] for f in free] + [[1, 2, 3, 4], [1, 2, 4, 5]],
+    }
+
+
 def _golden_shapes(pool: str) -> list[dict]:
     path = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / f"{pool}.json"
     return json.loads(path.read_text())["shapes"]

@@ -6,7 +6,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import sys
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from hypothesis import strategies as st
 
 from crosskont import cli, engine, evaluate_invariance_battery
 from crosskont.cli import main
+
+from corpus import free_row_ladder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -243,6 +248,55 @@ def test_deeply_nested_document_is_rejected(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert err == f"error: {nested}: the document is nested too deeply\n"
+
+
+def _cross_ratio_chain(r: int) -> dict:
+    """A valid instance whose recursion nests one level per cross-ratio (1 2 L_i L_i+1)."""
+    degree = (r + 21) // 3
+    return {
+        "schema": "instance/1",
+        "degree": degree,
+        "points": list(range(1, 3 * degree - r)),
+        "lines": [{"label": 1000 + i, "weight": 1} for i in range(r + 1)],
+        "crossratios": [[1, 2, 1000 + i, 1001 + i] for i in range(r)],
+    }
+
+
+def test_recursion_deeper_than_the_stack_is_one_error_line(capsys, tmp_path):
+    # At the default limit 340 cross-ratios at degree 120 overflow the stack
+    # after 3.4 s; a limit 100 frames above this one overflows on 40 of them.
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(_cross_ratio_chain(40)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code, out, err = run(capsys, "eval", chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_distinct_free_rows_up_to_forty_answer_quickly(capsys, tmp_path):
+    # Trying every set of distinct free rows took 1.2 s and 462 MB at k = 22;
+    # the steps stop such a loop at k = 16, before it can exhaust memory.
+    ladder = tmp_path / "ladder.json"
+    tracemalloc.start()
+    try:
+        for k in (10, 16, 22, 40):
+            ladder.write_text(json.dumps(free_row_ladder(k)))
+            tracemalloc.reset_peak()
+            start = time.perf_counter()
+            assert run(capsys, "eval", ladder) == (0, "0\n", ""), k
+            assert time.perf_counter() - start < 1, k
+            assert tracemalloc.get_traced_memory()[1] < 2 << 20, k
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("field", ["vertices", "edges", "ends"])

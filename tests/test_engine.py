@@ -10,6 +10,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -48,12 +49,14 @@ from crosskont.engine import (
     resolution_choices,
 )
 from crosskont import engine as engine_module
+from crosskont.cli import instance_from_dict
 from crosskont.resolution import VertexProfile, cross_ratio_multiplicity
 from crosskont.splits import ONE_ONE, TWO_ZERO_SIDE1_FIXED, build_subinstances, orbit_members
 
 from corpus import (
     CORPUS,
     SMALL,
+    free_row_ladder,
     golden_eval_multi_shapes,
     golden_instance,
     multi,
@@ -773,6 +776,71 @@ def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch
     assert [off.evaluate(inst) for inst in instances] == counts
     assert off._hall_zeros == 0
     assert all(off._memo[off._key(degree, rows)] == 0 for degree, rows in valued)
+
+
+def _fails_hall_by_subsets(rows) -> bool:
+    """Reference for ``_fails_hall``: every set of distinct free rows, 2^k sets for k of them.
+
+    A set fails when its ends outnumber the cross-ratios their
+    membership vectors cover.
+    """
+    free = KIND_RANK[FREE]
+    sums = [(0, 0)]  # (free ends, cross-ratios covered as a bitmask) of each set
+    for (rank, _, vec), n in rows.items():
+        if rank == free:
+            mask = sum(1 << j for j, x in enumerate(vec) if x)
+            sums += [(s + n, m | mask) for s, m in sums]
+    return any(s > m.bit_count() for s, m in sums)
+
+
+def _random_free_rows(rng: random.Random) -> dict:
+    """Rows of 1-6 cross-ratios, one point and up to 7 free rows of 1-3 ends each."""
+    width = rng.randint(1, 6)
+    vec = lambda: tuple(rng.random() < 0.4 for _ in range(width))
+    rows = {(KIND_RANK[POINT], 1, vec()): 1}
+    for _ in range(rng.randint(0, 7)):
+        rows[KIND_RANK[FREE], 1, vec()] = rng.randint(1, 3)
+    return rows
+
+
+def test_hall_matching_agrees_with_the_subset_loop(monkeypatch):
+    # Every row set that _node asks about, and random ones where several
+    # ends share a row, more of which fail.
+    asked = []
+    fails_hall = engine_module._fails_hall
+    spy = lambda rows: asked.append(rows) or fails_hall(rows)
+    monkeypatch.setattr(engine_module, "_fails_hall", spy)
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(8, 4), multi(7, 6)]
+    for inst in [*roots, *_free_end_sample(60, seed=7)]:
+        evaluate(inst)
+    rng = random.Random(5)
+    random_rows = [_random_free_rows(rng) for _ in range(3_000)]
+    verdicts = [fails_hall(rows) for rows in asked + random_rows]
+    assert verdicts == [_fails_hall_by_subsets(rows) for rows in asked + random_rows]
+    assert len(asked) > 4_000  # 3,533 of them under the golden shapes and the two multi roots
+    assert 500 < sum(verdicts[len(asked) :]) < len(random_rows) - 500
+
+
+def test_hall_test_stays_quick_and_small_up_to_forty_distinct_free_rows():
+    # The subset loop held 2^k (ends, mask) pairs: 127 MB at k = 20, 462 MB at
+    # k = 22.  The ladder climbs in steps, so such a loop fails the bound near
+    # k = 12, long before it could exhaust memory.
+    tracemalloc.start()
+    try:
+        for k in range(4, 41, 4):
+            rows = label_rows(instance_from_dict(free_row_ladder(k)))
+            assert sum(rank == KIND_RANK[FREE] for rank, _, _ in rows) == k
+            lone = next(row for row in rows if row[0] == KIND_RANK[FREE] and sum(row[2]) == 1)
+            crowded = {**rows, lone: 2}  # two ends share the one cross-ratio of ``lone``
+            tracemalloc.reset_peak()
+            start = time.perf_counter()
+            verdicts = _fails_hall(rows), _fails_hall(crowded)
+            elapsed = time.perf_counter() - start
+            assert verdicts == (False, True), k
+            assert elapsed < 0.1, k
+            assert tracemalloc.get_traced_memory()[1] < tracemalloc.get_traced_memory()[0] + 64_000, k
+    finally:
+        tracemalloc.stop()
 
 
 def _over_determined(inst: Instance) -> bool:

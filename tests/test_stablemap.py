@@ -24,6 +24,7 @@ from crosskont.stablemap import (
     BoundedEdge,
     End,
     EndTag,
+    SplitReport,
     StableMap,
     check_split_multiplicity,
     ev_matrix,
@@ -681,6 +682,66 @@ def test_split_check_survives_a_dead_side():
     assert report.multiplicity == 0
     assert report.predicted == 0
     assert report.ok
+
+
+SPLIT_REPORTS = {
+    "split_2_0.json": SplitReport(
+        TWO_ZERO_SIDE1_FIXED, 1, 1, (("side 1", 1), ("side 2", 1)), None
+    ),
+    "split_1_1.json": SplitReport(
+        ONE_ONE,
+        1,
+        1,
+        (("side 1, L_10", 1), ("side 1, L_01", 1), ("side 2, L_10", 0), ("side 2, L_01", 1)),
+        (0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_REPORTS))
+def test_split_report_is_pinned_field_by_field(name):
+    plane_map, crossratios = load_map(name)
+    assert check_split_multiplicity(plane_map, "e", crossratios) == SPLIT_REPORTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_REPORTS))
+def test_split_check_builds_each_side_once(monkeypatch, name):
+    # Every tag of a side's new end is put on its one build: rebuilding
+    # the side per tag made 6 builds on the 1/1 fixture.
+    plane_map, crossratios = load_map(name)
+    built = []
+    side_map = stablemap._side_map
+    monkeypatch.setattr(stablemap, "_side_map", lambda *args: built.append(args) or side_map(*args))
+    assert check_split_multiplicity(plane_map, "e", crossratios) == SPLIT_REPORTS[name]
+    assert len(built) == 2
+    assert {args[3] for args in built} == ({"W", "v2"} if name == "split_2_0.json" else {"B", "V"})
+
+
+def test_split_check_rejects_a_cross_ratio_with_two_entries_on_each_side(monkeypatch):
+    # Across the cut, the pairs of such a cross-ratio meet in both of the
+    # edge's vertices or in none, so the map's own multiplicity rejects it
+    # first; with that stubbed, the cut's routing rejects it too.
+    plane_map, _ = load_map("split_2_0.json")
+    crossing = [CrossRatio.of(1, 3, 2, 6)]  # 1 and 3 on W's side, 2 and 6 on v2's
+    with pytest.raises(ValueError, match="no satisfying vertex"):
+        check_split_multiplicity(plane_map, "e", crossing)
+    monkeypatch.setattr(stablemap, "multiplicity", lambda map, crossratios=(): 1)
+    with pytest.raises(ValueError, match="^a cross-ratio has two entries on each side of edge 'e'$"):
+        check_split_multiplicity(plane_map, "e", crossing)
+
+
+def test_split_check_rejects_deficiencies_of_no_identity():
+    # A line made a point on W's side and one made free on v2's keep the
+    # matrix square, but the sides' deficiencies become (-1, 3).
+    data = json.loads((FIXTURES / "split_2_0.json").read_text())
+    for end in data["ends"]:
+        if end["label"] in (3, 6):
+            end["condition"] = {"kind": "point" if end["label"] == 3 else "free"}
+    plane_map, crossratios = stablemap_from_dict(data)
+    assert ev_matrix(plane_map).is_square
+    multiplicity(plane_map, crossratios)
+    with pytest.raises(ValueError, match=r"^deficiencies \(-1, 3\) match no splitting identity$"):
+        check_split_multiplicity(plane_map, "e", crossratios)
 
 
 def test_split_check_needs_a_contracted_edge():
