@@ -110,10 +110,12 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
     when that is positive no curve meets general ones: the class counts
     0 unless every set of free ends lies in at least as many
     cross-ratios, Hall's condition between free ends and cross-ratios.
-    From counts alone this reads F = {f}, C(F) = ∅: a free end and no
-    cross-ratio.  :func:`_fails_hall` decides it for every F at once from
-    the rows of a class with cross-ratios, by matching each free end to a
-    cross-ratio of its own.
+    From counts alone this reads F = all free ends: more free ends than
+    cross-ratios.  :func:`_unheld_end` reads F = {f}, C(F) = ∅ from a
+    class's rows: a free end that no cross-ratio holds.
+    :func:`_fails_hall` decides it for every F at once from the rows of a
+    class with cross-ratios, by matching each free end to a cross-ratio
+    of its own.
 
     Of degree zero, a star counts 0 unless it is rigid: pinned to the
     intersection of two multi lines with l + 1 free ends, or to one
@@ -123,33 +125,61 @@ def _vanishes(degree: int, kinds: tuple[int, int, int], crossratios: int) -> boo
     side's counts.
     """
     if degree:
-        return kinds[KIND_RANK[FREE]] > 0 and not crossratios
+        return kinds[KIND_RANK[FREE]] > crossratios
     return kinds not in ((0, 2, crossratios + 1), (1, 0, crossratios + 2))
+
+
+def _unheld_end(degree: int, kinds: tuple[int, int, int], rows: Mapping[Row, int]) -> bool:
+    """Whether a class of positive degree has a free end that none of its cross-ratios holds.
+
+    ``kinds`` counts its points, multi lines and free ends, as in
+    :func:`_vanishes`.  That end alone fails the rule there, so the class counts 0.
+    """
+    free = KIND_RANK[FREE]
+    return degree > 0 and kinds[free] > 0 and any(r == free and not any(v) for r, _, v in rows)
 
 
 def _fails_hall(rows: Mapping[Row, int]) -> bool:
     """Whether the free ends of a class with cross-ratios fail the rule of :func:`_vanishes`.
 
     The rule holds exactly when every free end can be matched to a
-    cross-ratio of its own that holds it.  Each end in turn seeks an
-    alternating path to an unmatched cross-ratio, depth first (Kuhn's
-    algorithm), so the search nests at most as deep as the ends matched.
+    cross-ratio of its own that holds it.  Each end in turn takes an
+    unmatched cross-ratio that holds it, if there is one, or else seeks an
+    alternating path to one, depth first (Kuhn's algorithm), on an
+    explicit stack: ``path`` holds the ends along the path, ``untried``
+    each one's cross-ratios not yet tried and ``taken`` the cross-ratio
+    each but the last reaches for, held by the next.
     """
     ends = [vec for (rank, _, vec), n in rows.items() if rank == KIND_RANK[FREE] for _ in range(n)]
     if not ends:
         return False
+    held = [[j for j, x in enumerate(vec) if x] for vec in ends]
     owner: dict[int, int] = {}  # each matched cross-ratio's free end
-
-    def match(end: int, seen: set[int]) -> bool:
-        for j, x in enumerate(ends[end]):
-            if x and j not in seen:
+    for start, crossratios in enumerate(held):
+        j = next((j for j in crossratios if j not in owner), None)
+        if j is not None:
+            owner[j] = start
+            continue
+        seen: set[int] = set()
+        path, untried, taken = [start], [iter(crossratios)], []
+        while path:
+            j = next((j for j in untried[-1] if j not in seen), None)
+            if j is None:  # this end finds no path: its holder tries its next cross-ratio
+                path.pop()
+                untried.pop()
+                if taken:
+                    taken.pop()
+            elif j in owner:
                 seen.add(j)
-                if j not in owner or match(owner[j], seen):
-                    owner[j] = end
-                    return True
-        return False
-
-    return not all(match(end, set()) for end in range(len(ends)))
+                taken.append(j)
+                path.append(owner[j])
+                untried.append(iter(held[owner[j]]))
+            else:
+                owner.update(zip(taken + [j], path))
+                break
+        else:
+            return True
+    return False
 
 
 def base_from_rows(degree: int, rows: Mapping[Row, int]) -> Count:
@@ -279,7 +309,12 @@ def _isolates(orbit: Orbit, kept: tuple[int, ...]) -> bool:
 
 
 def _zero_side(orbit: Orbit) -> bool:
-    """Whether a side of the orbit is a class that :func:`_vanishes`, so its term is 0."""
+    """Whether a side of the orbit is a class that :func:`_vanishes`, so its term is 0.
+
+    At positive degree that is a side with more free ends than
+    cross-ratios: :meth:`Engine._node` would value it 0, by
+    :func:`_fails_hall` or, without cross-ratios, by :func:`base_from_rows`.
+    """
     degree1, degree2 = orbit.degrees
     (kinds1, kinds2), (crs1, crs2) = orbit.kinds, orbit.crossratios
     return _vanishes(degree1, kinds1, len(crs1)) or _vanishes(degree2, kinds2, len(crs2))
@@ -293,12 +328,14 @@ class Engine:
     class from its rows, building no instance below the root: by
     :func:`base_from_rows` if it needs no split, 0 if its free ends
     :func:`_fails_hall`, else as the sum over the split orbits
-    (:func:`orbit_rows`) of the first of :func:`_row_choices`, skipping
-    those with a side that :func:`_vanishes` before either side's rows
-    are built.  :meth:`_key` finds a class, root or side, by
-    its degree and exact rows; only rows met first pay for :func:`rows_key`.
-    ``max_nodes`` counts the distinct classes valued; the trace also values
-    the sides of skipped orbits.
+    (:func:`orbit_rows`) of the first of :func:`_row_choices`.  It skips
+    an orbit with a side that :func:`_vanishes` before either side's rows
+    are built, and one with a side that has an :func:`_unheld_end` before
+    either side is looked up, so such a side is valued only where the
+    trace meets it.  :meth:`_key` finds a class,
+    root or side, by its degree and exact rows; only rows met first pay
+    for :func:`rows_key`.  ``max_nodes`` counts the distinct classes
+    valued; the trace also values the sides of skipped orbits.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
@@ -391,15 +428,18 @@ class Engine:
     def _orbit_sum(self, degree: int, rows: Mapping[Row, int], choice: Choice) -> Count:
         """Sum the orbit terms of a class under ``choice``, counting them in ``_terms``.
 
-        An orbit with a side that :func:`_vanishes` is skipped before its rows are built.
+        An orbit with a side that :func:`_vanishes` is skipped before its
+        rows are built, and one with a side that has an :func:`_unheld_end`
+        before either side is looked up.
         """
         last, pinned, kept = choice
         value = 0
         for orbit in orbit_rows(degree, rows, last, pinned):
-            if _zero_side(orbit):
+            if _zero_side(orbit) or not (kept is None or _isolates(orbit, kept)):
                 continue
-            if kept is None or _isolates(orbit, kept):
-                key1, key2 = map(self._key, orbit.degrees, orbit.rows)
+            sides = orbit.rows
+            if not any(map(_unheld_end, orbit.degrees, orbit.kinds, sides)):
+                key1, key2 = map(self._key, orbit.degrees, sides)
                 value += orbit.weight * self._memo[key1] * self._memo[key2]
                 self._terms += 1
         return value

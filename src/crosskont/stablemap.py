@@ -549,6 +549,9 @@ def check_split_multiplicity(
     fresh = max(end.label for end in map.ends) + 1
     labels1 = frozenset(end.label for end in map.ends if end.vertex in near)
     routed = route_groups([cr.entries for cr in crossratios], labels1)
+    # Unreachable after ``multiplicity`` above, which rejects such a cross-ratio as
+    # having no satisfying vertex; kept so the cut never routes one the lemma
+    # cannot split, should that check ever stop preceding it.
     if routed is None:
         raise ValueError(f"a cross-ratio has two entries on each side of edge {edge_id!r}")
     crs1, crs2 = ([crossratios[j] for j in group] for group in routed)

@@ -105,12 +105,15 @@ def multi(degree: int, r: int) -> Instance:
     """The ``multi(d, r)`` shape: many cross-ratios over two lines.
 
     Points 1..n with n = 3d - 1 - r, lines a = n + 1 of weight 1 and
-    b = n + 2 of weight 2, and the first r of six cross-ratios.
+    b = n + 2 of weight 2, and the first r of eight cross-ratios.  The
+    seventh and eighth hold points 14 and 15, so r = 7 and r = 8 need
+    n >= 15, that is d >= 8.
     """
     n = 3 * degree - 1 - r
     a, b = n + 1, n + 2
     crossratios = [
-        [1, 2, a, b], [3, 4, a, 5], [1, 6, b, 7], [2, 3, 8, 9], [5, 10, 11, a], [6, 12, 13, b]
+        [1, 2, a, b], [3, 4, a, 5], [1, 6, b, 7], [2, 3, 8, 9], [5, 10, 11, a], [6, 12, 13, b],
+        [4, 7, 14, a], [8, 10, 15, b],
     ]
     return Instance.build(
         degree, points=list(range(1, n + 1)), lines={a: 1, b: 2}, crossratios=crossratios[:r]

@@ -37,11 +37,14 @@ from crosskont.conditions import (
     label_row,
     label_rows,
     rows_key,
+    validate,
 )
 from crosskont.engine import (
     Engine,
     _fails_hall,
     _isolates,
+    _unheld_end,
+    _vanishes,
     _zero_side,
     base_degree_zero,
     base_from_rows,
@@ -574,22 +577,22 @@ def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
 
 # Engine()._nodes after evaluate, as recorded once every class was resolved
 # from its rows (1,287 classes before the zero-orbit skip, 704 after it, 716
-# before the free-end rule, 677 now).
+# before the free-end rule, 677 before the free-end term skip, 526 now).
 GOLDEN_NODES = {
-    "eval-multi-1": 26, "eval-multi-36": 18, "eval-multi-14": 24, "eval-multi-12": 34,
-    "eval-multi-19": 42, "eval-multi-43": 25, "eval-multi-37": 62, "eval-multi-72": 12,
-    "eval-multi-40": 73, "eval-multi-5": 26, "eval-multi-67": 51, "eval-multi-4": 75,
-    "eval-multi-48": 59, "eval-multi-92": 93, "eval-multi-110": 15, "eval-multi-2": 42,
+    "eval-multi-1": 26, "eval-multi-36": 10, "eval-multi-14": 20, "eval-multi-12": 32,
+    "eval-multi-19": 38, "eval-multi-43": 9, "eval-multi-37": 55, "eval-multi-72": 8,
+    "eval-multi-40": 70, "eval-multi-5": 26, "eval-multi-67": 48, "eval-multi-4": 65,
+    "eval-multi-48": 39, "eval-multi-92": 29, "eval-multi-110": 9, "eval-multi-2": 42,
 }
 
-# Engine()._terms after evaluate, the orbit terms summed (996 in all, 1,071
-# before the free-end rule): a change to the default choice, to the
-# zero-orbit skip or to the free-end rule shows up here.
+# Engine()._terms after evaluate, the orbit terms summed (766 in all, 1,071
+# before the free-end rule, 996 before the free-end term skip): a change to
+# the default choice, to the zero-orbit skip or to the free-end rule shows up here.
 GOLDEN_TERMS = {
-    "eval-multi-1": 20, "eval-multi-36": 18, "eval-multi-14": 29, "eval-multi-12": 63,
-    "eval-multi-19": 54, "eval-multi-43": 24, "eval-multi-37": 96, "eval-multi-72": 10,
-    "eval-multi-40": 104, "eval-multi-5": 25, "eval-multi-67": 74, "eval-multi-4": 168,
-    "eval-multi-48": 127, "eval-multi-92": 108, "eval-multi-110": 8, "eval-multi-2": 68,
+    "eval-multi-1": 20, "eval-multi-36": 8, "eval-multi-14": 21, "eval-multi-12": 58,
+    "eval-multi-19": 48, "eval-multi-43": 7, "eval-multi-37": 83, "eval-multi-72": 8,
+    "eval-multi-40": 100, "eval-multi-5": 25, "eval-multi-67": 67, "eval-multi-4": 148,
+    "eval-multi-48": 79, "eval-multi-92": 22, "eval-multi-110": 4, "eval-multi-2": 68,
 }
 
 
@@ -603,7 +606,7 @@ def test_node_count_is_pinned_on_the_golden_shapes(shape):
 
 def test_golden_term_pins_sum_to_the_pass_total():
     assert set(GOLDEN_TERMS) == set(GOLDEN_NODES) == {s["id"] for s in golden_eval_multi_shapes()}
-    assert sum(GOLDEN_TERMS.values()) == 996
+    assert sum(GOLDEN_TERMS.values()) == 766
 
 
 # Engine()._nodes of the family at d = 2..5, by line weights: 2 d + 1 for
@@ -623,16 +626,31 @@ def test_node_count_is_pinned_on_the_family(degree, weights):
 def test_trace_values_the_classes_the_evaluation_skips():
     # The trace walks the orbits the evaluation skips too, and resolves each
     # node by its labels, valuing the classes it meets lazily: eval-multi-92
-    # values 93 classes, its trace 371 (122 and 400 before the free-end rule).
+    # values 29 classes, its trace 332 (122 and 400 before the free-end rule,
+    # 93 and 371 before the free-end term skip).
     shape = next(s for s in golden_eval_multi_shapes() if s["id"] == "eval-multi-92")
     engine = Engine()
     lines = list(engine.trace(golden_instance(shape)))
     assert lines[-1] == f"  = {shape['count']}"
-    assert engine._nodes == 371
+    assert engine._nodes == 332
+
+
+def _zero_by_its_node(sub: Instance) -> bool:
+    """Whether ``_node`` would value a built side 0 without splitting it.
+
+    By the base or star rule where it needs no split, else by the free-end rule.
+    """
+    if sub.degree == 0 or not sub.crossratios:
+        return base_from_rows(sub.degree, label_rows(sub)) == 0
+    return _fails_hall(label_rows(sub))
 
 
 def _check_skipped_orbits(inst) -> int:
-    """Check the orbits the engine skips below ``inst`` on their built sides; return how many."""
+    """Check the orbits the engine skips below ``inst`` on their built sides; return how many.
+
+    An orbit is skipped when a side :func:`_vanishes` by its counts or has
+    an :func:`_unheld_end` in its rows.
+    """
     skipped = 0
     for node, choice in split_nodes(inst):
         if choice is not None:
@@ -641,9 +659,8 @@ def _check_skipped_orbits(inst) -> int:
                 subs = (pair.side1, pair.side2)
                 kinds = tuple((len(sub.points), len(sub.lines), len(sub.free)) for sub in subs)
                 assert orbit.kinds == kinds
-                if _zero_side(orbit):
-                    base = [sub for sub in subs if sub.degree == 0 or not sub.crossratios]
-                    assert 0 in [base_from_rows(sub.degree, label_rows(sub)) for sub in base]
+                if _zero_side(orbit) or any(map(_unheld_end, orbit.degrees, orbit.kinds, orbit.rows)):
+                    assert any(map(_zero_by_its_node, subs))
                     skipped += 1
     return skipped
 
@@ -695,6 +712,71 @@ def test_skipping_zero_orbits_keeps_every_count(monkeypatch):
     assert [evaluate(inst) for inst in instances] == counts
 
 
+def _vanishes_by_lone_ends(degree: int, kinds: tuple[int, int, int], crossratios: int) -> bool:
+    """``_vanishes`` with the free-end rule read from counts only as a free end and no cross-ratio."""
+    if degree:
+        return kinds[KIND_RANK[FREE]] > 0 and not crossratios
+    return _vanishes(degree, kinds, crossratios)
+
+
+def _spy_on_the_term_skip(monkeypatch) -> tuple[list, dict]:
+    """Record the terms that only the free-end term skip drops, and their zero sides.
+
+    Returns a list that gains one entry per such term and a dict from
+    each side's (degree, exact rows) to its (degree, rows): a side of
+    positive degree with cross-ratios that has more free ends than
+    cross-ratios or an end none of them holds, which only the free-end
+    rule values 0.
+    """
+    terms: list = []
+    sides: dict = {}
+    zero_side, unheld_end = engine_module._zero_side, engine_module._unheld_end
+    side = lambda degree, rows: sides.setdefault((degree, frozenset(rows.items())), (degree, rows))
+
+    def counts_form(orbit):
+        if not zero_side(orbit):
+            return False
+        counts = list(zip(orbit.degrees, orbit.kinds, map(len, orbit.crossratios)))
+        if not any(_vanishes_by_lone_ends(*count) for count in counts):
+            terms.append(orbit)
+            for (degree, kinds, crossratios), rows in zip(counts, orbit.rows):
+                if degree and crossratios and _vanishes(degree, kinds, crossratios):
+                    side(degree, rows)
+        return True
+
+    def rows_form(degree, kinds, rows):
+        if unheld_end(degree, kinds, rows):
+            terms.append(rows)
+            side(degree, rows)
+            return True
+        return False
+
+    monkeypatch.setattr(engine_module, "_zero_side", counts_form)
+    monkeypatch.setattr(engine_module, "_unheld_end", rows_form)
+    return terms, sides
+
+
+def test_counts_hold_with_the_free_end_term_skip_switched_off(monkeypatch):
+    # The term skip drops an orbit with a side of positive degree that has
+    # more free ends than cross-ratios (from counts) or an end in none of
+    # them (from rows) before either side is valued.  With both forms off,
+    # each such side is valued, 0 by the free-end rule at its node.
+    shapes = golden_eval_multi_shapes()
+    instances = [*map(golden_instance, shapes), multi(7, 6), multi(8, 4)]
+    instances += _free_end_sample(60, seed=7)
+    with monkeypatch.context() as spied:
+        terms, _ = _spy_on_the_term_skip(spied)
+        counts = [evaluate(inst) for inst in instances]
+    assert counts[: len(shapes)] == [shape["count"] for shape in shapes]
+    assert counts[len(shapes) : len(shapes) + 2] == [1_994_058, 197_523_577_376]
+    assert len(terms) > 200
+    monkeypatch.setattr(engine_module, "_vanishes", _vanishes_by_lone_ends)
+    monkeypatch.setattr(engine_module, "_unheld_end", lambda degree, kinds, rows: False)
+    off = Engine()
+    assert [off.evaluate(inst) for inst in instances] == counts
+    assert off._hall_zeros > 0
+
+
 def test_counts_hold_with_every_node_resolved_in_reverse_order():
     # The battery varies the root's choice only; this varies it at every node.
     frontier = multi(7, 6)
@@ -709,25 +791,36 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order():
     assert calls
 
 
-@pytest.mark.parametrize("reverse, nodes", [(False, 591), (True, 533)])
+def test_multi_past_six_cross_ratios_is_pinned_where_its_checks_agree():
+    # The seventh and eighth cross-ratios hold points 14 and 15, so they
+    # need d >= 8.  multi(8, 7) counted the same under all 21 root choices
+    # of the battery and with every node resolved in reverse order.
+    assert all(map(validate, (multi(8, 7), multi(8, 8), multi(9, 8))))
+    assert evaluate(multi(8, 7)) == 53_513_628
+
+
+@pytest.mark.parametrize("reverse, nodes", [(False, 484), (True, 414)])
 def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
     # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
     # after it), the summed orbit terms once the choices were listed lazily
-    # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule).
+    # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule;
+    # 591 and 533 nodes, 4,213 and 4,954 terms before the free-end term skip).
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
         assert engine.evaluate(multi(8, 4)) == 197_523_577_376
-    assert (engine._nodes, engine._terms) == (nodes, 4_954 if reverse else 4_213)
+    assert (engine._nodes, engine._terms) == (nodes, 3_719 if reverse else 3_538)
 
 
-# Engine()._hall_zeros after evaluate: the classes the free-end rule valued 0.
+# Engine()._hall_zeros after evaluate: the classes the free-end rule valued 0
+# at their node (109 in all before the free-end term skip, 0 now: the skip
+# drops every term with such a side on these shapes before valuing it).
 GOLDEN_HALL_ZEROS = {
-    "eval-multi-1": 0, "eval-multi-36": 4, "eval-multi-14": 3, "eval-multi-12": 2,
-    "eval-multi-19": 4, "eval-multi-43": 10, "eval-multi-37": 7, "eval-multi-72": 2,
-    "eval-multi-40": 3, "eval-multi-5": 0, "eval-multi-67": 3, "eval-multi-4": 10,
-    "eval-multi-48": 20, "eval-multi-92": 37, "eval-multi-110": 4, "eval-multi-2": 0,
+    "eval-multi-1": 0, "eval-multi-36": 0, "eval-multi-14": 0, "eval-multi-12": 0,
+    "eval-multi-19": 0, "eval-multi-43": 0, "eval-multi-37": 0, "eval-multi-72": 0,
+    "eval-multi-40": 0, "eval-multi-5": 0, "eval-multi-67": 0, "eval-multi-4": 0,
+    "eval-multi-48": 0, "eval-multi-92": 0, "eval-multi-110": 0, "eval-multi-2": 0,
 }
 
 
@@ -739,9 +832,10 @@ def test_free_end_rule_count_is_pinned_on_the_golden_shapes(shape):
 
 
 def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch):
-    # Each class the rule values 0 is valued again with the rule off, by
-    # its splits.  The rule's subset loop runs over the distinct free rows
-    # of a class, at most 3 on these shapes.
+    # Each class the rule values 0 at its node, and each side the term skip
+    # drops by it, is valued again with the rule and the skip's two forms
+    # off, by its splits.  The distinct free rows of a class the node rule
+    # asks about number at most 3 on these shapes.
     shapes = golden_eval_multi_shapes()
     instances = [*map(golden_instance, shapes), multi(7, 6), multi(8, 4)]
     instances += _free_end_sample(60, seed=7)
@@ -765,13 +859,21 @@ def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch
         finally:
             degrees.pop()
 
-    monkeypatch.setattr("crosskont.engine._fails_hall", spy)
-    monkeypatch.setattr(Engine, "_node", recording)
-    counts = [evaluate(inst) for inst in instances]
+    with monkeypatch.context() as spied:
+        spied.setattr("crosskont.engine._fails_hall", spy)
+        spied.setattr(Engine, "_node", recording)
+        _, dropped = _spy_on_the_term_skip(spied)
+        counts = []
+        for inst in instances:  # each evaluation values a class once, as each drops a side once
+            counts.append(evaluate(inst))
+            valued += dropped.values()
+            dropped.clear()
     assert counts[: len(shapes)] == [shape["count"] for shape in shapes]
     assert counts[len(shapes) : len(shapes) + 2] == [1_994_058, 197_523_577_376]
     assert len(valued) > 500 and max(free_rows) == 3
     monkeypatch.setattr("crosskont.engine._fails_hall", lambda rows: False)
+    monkeypatch.setattr(engine_module, "_vanishes", _vanishes_by_lone_ends)
+    monkeypatch.setattr(engine_module, "_unheld_end", lambda degree, kinds, rows: False)
     off = Engine()
     assert [off.evaluate(inst) for inst in instances] == counts
     assert off._hall_zeros == 0
@@ -804,20 +906,24 @@ def _random_free_rows(rng: random.Random) -> dict:
 
 
 def test_hall_matching_agrees_with_the_subset_loop(monkeypatch):
-    # Every row set that _node asks about, and random ones where several
-    # ends share a row, more of which fail.
+    # Every row set that _node asks about, every side the term skip drops
+    # unasked, and random ones where several ends share a row, more of
+    # which fail.
     asked = []
     fails_hall = engine_module._fails_hall
     spy = lambda rows: asked.append(rows) or fails_hall(rows)
     monkeypatch.setattr(engine_module, "_fails_hall", spy)
+    _, dropped = _spy_on_the_term_skip(monkeypatch)
     roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(8, 4), multi(7, 6)]
     for inst in [*roots, *_free_end_sample(60, seed=7)]:
         evaluate(inst)
+    asked += [rows for _, rows in dropped.values()]
     rng = random.Random(5)
     random_rows = [_random_free_rows(rng) for _ in range(3_000)]
     verdicts = [fails_hall(rows) for rows in asked + random_rows]
     assert verdicts == [_fails_hall_by_subsets(rows) for rows in asked + random_rows]
-    assert len(asked) > 4_000  # 3,533 of them under the golden shapes and the two multi roots
+    assert all(verdicts[len(asked) - len(dropped) : len(asked)])
+    assert len(asked) > 4_000
     assert 500 < sum(verdicts[len(asked) :]) < len(random_rows) - 500
 
 
@@ -841,6 +947,27 @@ def test_hall_test_stays_quick_and_small_up_to_forty_distinct_free_rows():
             assert tracemalloc.get_traced_memory()[1] < tracemalloc.get_traced_memory()[0] + 64_000, k
     finally:
         tracemalloc.stop()
+
+
+def test_hall_matching_follows_a_path_longer_than_the_stack():
+    # End i < k - 1 holds cross-ratios i and i + 1 and takes i; the last end
+    # holds only 0, so its alternating path runs through every other end.
+    # A recursive search nests a frame per end on it; the limit here lets
+    # 100 nest.  Without cross-ratio k - 1 the path fails at its far end.
+    k = 300
+    free = lambda *held: (KIND_RANK[FREE], 1, tuple(j in held for j in range(k)))
+    chain = {free(i, i + 1): 1 for i in range(k - 1)}
+    cut = {**{free(i, i + 1): 1 for i in range(k - 2)}, free(k - 2): 1}
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        verdicts = _fails_hall({**chain, free(0): 1}), _fails_hall({**cut, free(0): 1})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == (False, True)
 
 
 def _over_determined(inst: Instance) -> bool:

@@ -1,14 +1,14 @@
-"""Time the evaluation on three frontier shapes of many cross-ratios over two lines.
+"""Time the evaluation on four frontier shapes of many cross-ratios over two lines.
 
-For ``multi(8, 4)``, ``multi(9, 5)`` and ``multi(7, 6)`` (see
-``tests/corpus.py``) prints one line: the count, the classes the
+For ``multi(8, 4)``, ``multi(9, 5)``, ``multi(7, 6)`` and ``multi(8, 7)``
+(see ``tests/corpus.py``) prints one line each: the count, the classes the
 engine valued (``Engine._nodes``), the orbit terms it summed
 (``Engine._terms``) and the best of three runs in seconds, each run on
 a fresh engine::
 
     python3 tools/frontier.py
 
-The three shapes take about 5 s in all.
+The four shapes take about 15 s in all, ``multi(8, 7)`` about 10 s of them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from corpus import multi  # noqa: E402
 from crosskont.engine import Engine  # noqa: E402
 
-SHAPES = [(8, 4), (9, 5), (7, 6)]
+SHAPES = [(8, 4), (9, 5), (7, 6), (8, 7)]
 REPEATS = 3
 
 
