@@ -11,8 +11,8 @@ The counting problem is zero-dimensional exactly when
 
 Instances are immutable and compare as values, but they are not
 hashable: their conditions live in a read-only mapping.
-``canonical_key`` produces a relabelling-invariant fingerprint that the
-recursion engine uses for memoization.
+``canonical_key`` produces a relabelling-invariant fingerprint; the
+engine memoizes on exact rows, and only its trace reads this key.
 """
 
 from __future__ import annotations
@@ -311,7 +311,8 @@ def rows_key(degree: int, rows: Mapping[Row, int]) -> Key:
     equal signatures.  Past ``_MAX_LISTINGS`` such listings it keeps
     the given order within each run: equal keys still mean isomorphic
     instances, but relabelled copies may no longer share one.  The key
-    is that least multiset as a sorted tuple, after the degree.
+    is that least multiset as a sorted tuple, after the degree.  The
+    engine's trace alone computes it, to mark classes met before.
     """
     width = len(next(iter(rows))[2]) if rows else 0
     orders = [range(width)] if width < 2 else _listings(rows, width)

@@ -29,10 +29,9 @@ from .conditions import (
     POINT,
     Count,
     Instance,
-    Key,
     Pairing,
     Row,
-    canonical_key,
+    canonical_key,  # not called here; perfbench/tracing.py wraps it by this name
     label_row,
     label_rows,
     rows_key,
@@ -323,27 +322,25 @@ def _zero_side(orbit: Orbit) -> bool:
 class Engine:
     """Memoized single-threaded evaluator for counting instances.
 
-    A class, fixed up to relabelling by its degree and row counts, is
-    memoized under their :func:`rows_key`.  :meth:`_node` values every
-    class from its rows, building no instance below the root: by
+    A class, root or side, is memoized under its degree and exact row
+    counts, which fix it up to relabelling: relabelled copies share one
+    entry, reorderings of its cross-ratios do not.  :meth:`_node` values
+    every class from its rows, building no instance below the root: by
     :func:`base_from_rows` if it needs no split, 0 if its free ends
     :func:`_fails_hall`, else as the sum over the split orbits
     (:func:`orbit_rows`) of the first of :func:`_row_choices`.  It skips
     an orbit with a side that :func:`_vanishes` before either side's rows
     are built, and one with a side that has an :func:`_unheld_end` before
     either side is looked up, so such a side is valued only where the
-    trace meets it.  :meth:`_key` finds a class,
-    root or side, by its degree and exact rows; only rows met first pay
-    for :func:`rows_key`.  ``max_nodes`` counts the distinct classes
-    valued; the trace also values the sides of skipped orbits.
+    trace meets it.  ``max_nodes`` counts the distinct row sets valued;
+    the trace also values the sides of skipped orbits.
     """
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES) -> None:
         if max_nodes < 1:
             raise ValueError("max_nodes must be positive")
         self.max_nodes = max_nodes
-        self._memo: dict[Key, Count] = {}
-        self._exact: dict[tuple, Key] = {}
+        self._memo: dict[tuple, Count] = {}  # by (degree, frozenset of (row, count))
         self._nodes = 0
         self._terms = 0
         self._hall_zeros = 0  # classes valued 0 by :func:`_fails_hall`, without a split
@@ -358,17 +355,19 @@ class Engine:
     def trace(self, inst: Instance) -> Iterator[str]:
         """Count ``inst``, then yield its trace over label-level splits line by line.
 
-        Values come from the memo.  Classes it held before the call show as
-        memo hits; any other class is expanded where the walk first meets it.
+        Values come from the memo.  A class the memo held before the call,
+        or that the walk met before, shows as a memo hit up to relabelling,
+        by its :func:`rows_key`; any other is expanded where first met.
         """
         seen = set(self._memo)
+        seen.update([rows_key(degree, dict(rows)) for degree, rows in seen])
         self.evaluate(inst)
-        yield from self._walk(inst, canonical_key(inst), seen, "", "")
+        yield from self._walk(inst, self._key(inst.degree, label_rows(inst)), seen, "", "")
 
     def _eval(self, inst: Instance) -> Count:
         return self._memo[self._key(inst.degree, label_rows(inst))]
 
-    def _node(self, key: Key, degree: int, rows: Mapping[Row, int]) -> Count:
+    def _node(self, key: tuple, degree: int, rows: Mapping[Row, int]) -> Count:
         """Value the class ``key`` of ``degree`` and ``rows`` into the memo."""
         self._nodes += 1
         if self._nodes > self.max_nodes:
@@ -387,20 +386,24 @@ class Engine:
         return value
 
     def _walk(
-        self, inst: Instance, key: Key, seen: set[Key], head: str, pad: str
+        self, inst: Instance, key: tuple, seen: set, head: str, pad: str
     ) -> Generator[str, None, Count]:
-        """Yield the trace of ``inst``, of class ``key``, after ``head``; return its value.
+        """Yield the trace of ``inst``, of memo key ``key``, after ``head``; return its value.
 
         Splits come from :func:`orbit_members` under the first of its
-        :func:`resolution_choices`, side classes from :meth:`_key`, which
-        also evaluates any the memo lacks.
+        :func:`resolution_choices`, side keys from :meth:`_key`.  ``seen``
+        holds the keys met and their :func:`rows_key`, computed only here.
         """
         yield head + _describe(inst, f"d={inst.degree}", inst.labels, range(len(inst.crossratios)))
         value = self._memo[key]
-        rules = (("memo", key in seen), ("base", not inst.crossratios), ("star", inst.degree == 0))
-        rule = next((name for name, hit in rules if hit), None)
+        hit = key in seen
+        if not hit:
+            twin = rows_key(inst.degree, dict(key[1]))  # shared by relabelled copies
+            hit = twin in seen
+            seen.update((key, twin))
+        rules = (("memo", hit), ("base", not inst.crossratios), ("star", inst.degree == 0))
+        rule = next((name for name, ok in rules if ok), None)
         choice = None if rule else next(resolution_choices(inst), None)
-        seen.add(key)
         if choice is None:
             yield f"{pad}  = {value} ({rule or 'no line pair'})"
             return value
@@ -444,15 +447,11 @@ class Engine:
                 self._terms += 1
         return value
 
-    def _key(self, degree: int, rows: Mapping[Row, int]) -> Key:
-        """Class key of ``degree`` and ``rows``, valued into the memo on a miss."""
-        exact = degree, frozenset(rows.items())
-        if exact in self._exact:
-            return self._exact[exact]
-        key = rows_key(degree, rows)
+    def _key(self, degree: int, rows: Mapping[Row, int]) -> tuple:
+        """Memo key of ``degree`` and ``rows``, valued into the memo on a miss."""
+        key = degree, frozenset(rows.items())
         if key not in self._memo:
             self._node(key, degree, rows)
-        self._exact[exact] = key
         return key
 
 

@@ -107,7 +107,8 @@ def test_check_passes_on_six_lines_with_two_cross_ratios(capsys, tmp_path):
 
 
 def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
-    # eval-multi-92 needs 29 recursion nodes to evaluate and 332 to trace
+    # eval-multi-92 needs 29 recursion nodes to evaluate and 335 to trace (332
+    # before the memo dropped the relabelling-invariant key)
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
     shape = next(s for s in json.loads(golden.read_text())["shapes"] if s["id"] == "eval-multi-92")
     document = _instance_document(
@@ -122,10 +123,10 @@ def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
     code, full, err = run(capsys, "eval", "--trace", path)
     assert (code, err, full.splitlines()[-1]) == (0, "", str(shape["count"]))
     trace = full[: full.rindex("\n", 0, -1) + 1]
-    assert run(capsys, "eval", "--trace", "--max-nodes", "332", path) == (0, full, "")
-    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "331", path)
+    assert run(capsys, "eval", "--trace", "--max-nodes", "335", path) == (0, full, "")
+    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "334", path)
     assert code == 1
-    assert err.startswith("error: more than 331 recursion nodes ")
+    assert err.startswith("error: more than 334 recursion nodes ")
     assert err.count("\n") == 1
     assert 0 < len(out) < len(trace)
     assert trace.startswith(out)

@@ -373,18 +373,29 @@ def test_trace_marks_memoized_hits():
 
 def test_trace_keys_only_the_root(monkeypatch):
     # Sides are keyed through Engine._key from their rows, so the number
-    # of canonical_key calls does not grow with the trace (98,307 lines at d = 6).
-    calls = []
+    # of canonical_key calls does not grow with the trace (98,307 lines at d = 6),
+    # and the trace computes rows_key once for each exact row set it meets
+    # first, so at most once per memo entry, not once per line.
+    calls, twins = [], []
 
     def counting_key(inst):
         calls.append(inst)
         return canonical_key(inst)
 
+    def counting_rows_key(degree, rows):
+        twins.append((degree, rows))
+        return rows_key(degree, rows)
+
     monkeypatch.setattr("crosskont.engine.canonical_key", counting_key)
+    monkeypatch.setattr("crosskont.engine.rows_key", counting_rows_key)
     made = []
     for degree in (3, 6):
         calls.clear()
-        assert sum(1 for _ in Engine().trace(one_cross_ratio_family(degree))) > 100
+        twins.clear()
+        engine = Engine()
+        lines = sum(1 for _ in engine.trace(one_cross_ratio_family(degree)))
+        assert lines > 100
+        assert 0 < len(twins) <= len(engine._memo) < lines
         made.append(len(calls))
     assert made[0] == made[1]
 
@@ -626,13 +637,13 @@ def test_node_count_is_pinned_on_the_family(degree, weights):
 def test_trace_values_the_classes_the_evaluation_skips():
     # The trace walks the orbits the evaluation skips too, and resolves each
     # node by its labels, valuing the classes it meets lazily: eval-multi-92
-    # values 29 classes, its trace 332 (122 and 400 before the free-end rule,
-    # 93 and 371 before the free-end term skip).
+    # values 29 classes, its trace 335 (122 and 400 before the free-end rule,
+    # 93 and 371 before the free-end term skip, 332 before the exact-rows memo).
     shape = next(s for s in golden_eval_multi_shapes() if s["id"] == "eval-multi-92")
     engine = Engine()
     lines = list(engine.trace(golden_instance(shape)))
     assert lines[-1] == f"  = {shape['count']}"
-    assert engine._nodes == 332
+    assert engine._nodes == 335
 
 
 def _zero_by_its_node(sub: Instance) -> bool:
@@ -780,7 +791,10 @@ def test_counts_hold_with_the_free_end_term_skip_switched_off(monkeypatch):
 def test_counts_hold_with_every_node_resolved_in_reverse_order():
     # The battery varies the root's choice only; this varies it at every node.
     frontier = multi(7, 6)
-    assert evaluate(frontier) == 1_994_058
+    engine = Engine()
+    assert engine.evaluate(frontier) == 1_994_058
+    # the free-end rule values 23 classes 0 at their node (20 before the exact-rows memo)
+    assert engine._hall_zeros == 23
     sample = _free_end_sample(60, seed=7)
     counts = [evaluate(inst) for inst in sample]
     with resolved_in_reverse() as calls:
@@ -799,23 +813,28 @@ def test_multi_past_six_cross_ratios_is_pinned_where_its_checks_agree():
     assert evaluate(multi(8, 7)) == 53_513_628
 
 
-@pytest.mark.parametrize("reverse, nodes", [(False, 484), (True, 414)])
+@pytest.mark.parametrize("reverse, nodes", [(False, 502), (True, 429)])
 def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
     # from its rows (1,046 and 682 before the zero-orbit skip, 740 and 508
     # after it), the summed orbit terms once the choices were listed lazily
     # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule;
-    # 591 and 533 nodes, 4,213 and 4,954 terms before the free-end term skip).
+    # 591 and 533 nodes, 4,213 and 4,954 terms before the free-end term skip;
+    # 484 and 414 nodes, 3,538 and 3,719 terms before the memo dropped the
+    # relabelling-invariant key).  The free-end rule values 7 classes 0 at
+    # their node forward, none in reverse: the pin where that step fires.
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
         assert engine.evaluate(multi(8, 4)) == 197_523_577_376
-    assert (engine._nodes, engine._terms) == (nodes, 3_719 if reverse else 3_538)
+    terms, zeros = (3_796, 0) if reverse else (3_610, 7)
+    assert (engine._nodes, engine._terms, engine._hall_zeros) == (nodes, terms, zeros)
 
 
 # Engine()._hall_zeros after evaluate: the classes the free-end rule valued 0
 # at their node (109 in all before the free-end term skip, 0 now: the skip
-# drops every term with such a side on these shapes before valuing it).
+# drops every term with such a side on these shapes before valuing it; the
+# pins on multi(8, 4) and multi(7, 6) show the node's step firing).
 GOLDEN_HALL_ZEROS = {
     "eval-multi-1": 0, "eval-multi-36": 0, "eval-multi-14": 0, "eval-multi-12": 0,
     "eval-multi-19": 0, "eval-multi-43": 0, "eval-multi-37": 0, "eval-multi-72": 0,
@@ -1176,3 +1195,46 @@ def test_evaluation_builds_no_instance_below_the_root(monkeypatch):
     for inst in roots:
         Engine().evaluate(inst)
     assert built == []
+
+
+def test_evaluation_computes_no_relabelling_invariant_key(monkeypatch):
+    # One memo, keyed by each class's degree and exact rows: the evaluation
+    # never calls rows_key or canonical_key, and values each row set once.
+    calls = []
+
+    def counting(name, key):
+        return lambda *args: calls.append(name) or key(*args)
+
+    monkeypatch.setattr(engine_module, "rows_key", counting("rows_key", rows_key))
+    monkeypatch.setattr(engine_module, "canonical_key", counting("canonical_key", canonical_key))
+    for inst in [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6)]:
+        engine = Engine()
+        engine.evaluate(inst)
+        assert len(engine._memo) == engine._nodes
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_relabelled_copy_values_no_new_class(shape):
+    # Permuting the labels, cross-ratios kept in order, keeps every class's rows.
+    inst = golden_instance(shape)
+    labels = list(inst.labels)
+    random.Random(shape["id"]).shuffle(labels)
+    moved = inst.relabel(dict(zip(inst.labels, labels)))
+    assert moved != inst
+    engine = Engine()
+    assert engine.evaluate(inst) == shape["count"]
+    nodes = engine._nodes
+    assert engine.evaluate(moved) == shape["count"]
+    assert engine._nodes == nodes
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_reordered_cross_ratios_count_the_same(shape):
+    # Reordering the cross-ratios moves the rows' membership columns, so the
+    # exact-rows memo may value the copy's classes anew, beside the original's.
+    inst = golden_instance(shape)
+    engine = Engine()
+    assert engine.evaluate(inst) == shape["count"]
+    for listing in (inst.crossratios[::-1], inst.crossratios[1:] + inst.crossratios[:1]):
+        assert engine.evaluate(Instance(inst.degree, inst.conditions, listing)) == shape["count"]

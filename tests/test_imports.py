@@ -17,6 +17,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crosskont"
 EXEMPT = {
     # perfbench/tracing.py times the split enumerator by wrapping this name in engine
     ("engine.py", "enumerate_splits"),
+    # perfbench/tracing.py times the instance key by wrapping this name in engine
+    ("engine.py", "canonical_key"),
 }
 
 

@@ -3,8 +3,9 @@
 For ``multi(8, 4)``, ``multi(9, 5)``, ``multi(7, 6)`` and ``multi(8, 7)``
 (see ``tests/corpus.py``) prints one line each: the count, the classes the
 engine valued (``Engine._nodes``), the orbit terms it summed
-(``Engine._terms``) and the best of three runs in seconds, each run on
-a fresh engine::
+(``Engine._terms``), the classes the free-end rule valued 0 at their
+node (``Engine._hall_zeros``) and the best of three runs in seconds,
+each run on a fresh engine::
 
     python3 tools/frontier.py
 
@@ -37,7 +38,7 @@ def measure(degree: int, r: int) -> str:
         best = min(best, time.perf_counter() - start)
     return (
         f"multi({degree}, {r}): count {count}, nodes {engine._nodes}, "
-        f"terms {engine._terms}, best of {REPEATS} {best:.3f} s"
+        f"terms {engine._terms}, hall zeros {engine._hall_zeros}, best of {REPEATS} {best:.3f} s"
     )
 
 
