@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Mapping, Optional
+from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 
 from .conditions import (
     FREE,
@@ -217,15 +217,15 @@ def base_no_crossratios(inst: Instance) -> Count:
 base_degree_zero = base_no_crossratios  # perfbench/tracing.py times stars under this second name
 
 
-def _choices(width: int, column: Callable, row: Callable, points: bool) -> Iterator[tuple]:
+def _choices(ranked: Sequence[int], column: Callable, row: Callable, points: bool) -> Iterator[tuple]:
     """The resolutions of a class whose cross-ratio j has the entries ``column(j)``.
 
     Yields (cross-ratio, its entries with side 1's pair first, the kept
     pairs, 0 for side 1's and 1 for side 2's, or None), the default
     first; ``row`` gives an entry's row.  With points: every cross-ratio,
-    from the last one down, under each of its three pairings, its
+    in ``ranked`` order, under each of its three pairings, its
     entries listed only when reached.  Without points: every
-    cross-ratio, from the last one down, under each pairing with an
+    cross-ratio, in ``ranked`` order, under each pairing with an
     admissible pair of multi line entries.  It keeps those pairs and
     any pair of one line and one free end: a line meets a degenerate
     (12|34) where it passes through L1 ∩ L2 or L3 ∩ L4, and, for a free
@@ -240,8 +240,8 @@ def _choices(width: int, column: Callable, row: Callable, points: bool) -> Itera
     """
     line, free = KIND_RANK[LINE], KIND_RANK[FREE]
     # without points, the cross-ratios of lines alone, each of which may bar a line pair it holds
-    full = [] if points else [j for j in range(width) if all(row(x)[0] == line for x in column(j))]
-    for last in range(width - 1, -1, -1):
+    full = [] if points else [j for j in ranked if all(row(x)[0] == line for x in column(j))]
+    for last in ranked:
         entries = column(last)
         if points:
             for order in (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2):  # its three pairings
@@ -264,7 +264,8 @@ def resolution_choices(inst: Instance) -> Iterator[tuple[Pairing, Choice]]:
     Each comes with its pairing, as the trace, the battery and ``eval --check`` read it.
     """
     row, crossratios = label_row(inst), inst.crossratios
-    listed = _choices(len(crossratios), lambda j: list(crossratios[j]), row, bool(inst.points))
+    last_first = range(len(crossratios) - 1, -1, -1)
+    listed = _choices(last_first, lambda j: list(crossratios[j]), row, bool(inst.points))
     for last, labels, kept in listed:
         yield Pairing(labels[:2], labels[2:]), (last, tuple(map(row, labels)), kept)
 
@@ -272,14 +273,18 @@ def resolution_choices(inst: Instance) -> Iterator[tuple[Pairing, Choice]]:
 def _row_choices(rows: Mapping[Row, int]) -> Iterator[Choice]:
     """:func:`_choices` of a class from its rows, the default first.
 
+    The cross-ratios come most shared first: j scores the sum, over the
+    rows it holds, of their labels times the other cross-ratios holding
+    them; ties go to the last one listed.
     Each cross-ratio's four entry rows are sorted, when it is reached,
     and listed 1st, 3rd, 2nd, 4th.  With points the default thus pairs
     the 1st with the 3rd and the 2nd with the 4th, so equal rows end up
-    on opposite sides: on ``multi(9, 5)`` that sums 28,381 orbit terms,
-    against 38,858 by a representative's label order and 64,143 pairing
-    the 1st with the 2nd.
-    Without points the listing barely matters (831 orbit terms over the
-    240 free-end instances of the tests, 810 with the rows sorted).
+    on opposite sides: on ``multi(9, 5)`` that sums 15,506 orbit terms,
+    against 23,967 with the last cross-ratio first, 15,925 with the
+    first first, 16,785 with the fewest orbits first (by the product of
+    block sizes plus one) and 39,356 pairing the 1st with the 2nd.
+    Without points: 723 orbit terms over the 240 free-end instances of
+    the tests, 805 with the last cross-ratio first.
     """
 
     def column(j: int) -> tuple[Row, ...]:
@@ -287,7 +292,12 @@ def _row_choices(rows: Mapping[Row, int]) -> Iterator[Choice]:
         return a, c, b, d
 
     points = any(rank == KIND_RANK[POINT] for rank, _, _ in rows)
-    return _choices(len(next(iter(rows))[2]), column, lambda row: row, points)
+    width = len(next(iter(rows))[2])
+    ranked = range(width - 1, -1, -1)
+    if width > 1:  # most shared first, ties to the last listed
+        weighted = [(vec, n * (sum(vec) - 1)) for (_, _, vec), n in rows.items()]
+        ranked = sorted(ranked, key=lambda j: -sum(w for vec, w in weighted if vec[j]))
+    return _choices(ranked, column, lambda row: row, points)
 
 
 def _isolates(orbit: Orbit, kept: tuple[int, ...]) -> bool:

@@ -274,8 +274,13 @@ def cross_ratio_multiplicity(profile: VertexProfile) -> int:
     Ranks the slots once and recurses on one mask of slot ranks per cross-ratio, calling
     the partition kernel behind :func:`resolve_once` directly: it resolves the first mask
     with its two lowest bits paired, and two children are worth the product of their counts.
+    The masks are sorted once, most shared first (by the sum, over a mask's slots, of the
+    masks holding the slot; ties in listed order), and children keep that order, so each
+    level resolves the most shared mask left.  The count does not depend on the order.
     A count depends only on the number of slots and the masks, so one call memoises it
-    under both.  Raises :class:`StructureError` if the valence equation fails.
+    under both.  Two equal masks count 0: k cross-ratios need k + 3 distinct entries
+    (Goldner, Math. Z. 297 (2021)), and resolving either leaves the other two-two on
+    every partition.  Raises :class:`StructureError` if the valence equation fails.
     """
     profile.check_valence()
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -287,7 +292,8 @@ def cross_ratio_multiplicity(profile: VertexProfile) -> int:
             target, *groups = masks
             higher = (above := target & (target - 1)) & (above - 1)  # less its two lowest bits
             free, total = [p for p in range(n) if not target >> p & 1], 0
-            for part, to1, to2 in _sides(target ^ higher, free, groups):
+            kept = _sides(target ^ higher, free, groups) if len(set(masks)) == len(masks) else []
+            for part, to1, to2 in kept:
                 if left := child(part, [groups[j] for j in to1]):
                     total += left * child((1 << n) - 1 ^ part, [groups[j] for j in to2])
             memo[key] = total
@@ -305,4 +311,5 @@ def cross_ratio_multiplicity(profile: VertexProfile) -> int:
         return count(top + 1, masks)
 
     bit = {slot: 1 << i for i, slot in enumerate(sorted(profile.slots))}
-    return count(len(bit), [sum(map(bit.get, table.values())) for table in profile.routes.values()])
+    masks = [sum(map(bit.get, table.values())) for table in profile.routes.values()]
+    return count(len(bit), sorted(masks, key=lambda m: -sum((m & o).bit_count() for o in masks)))

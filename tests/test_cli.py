@@ -107,8 +107,9 @@ def test_check_passes_on_six_lines_with_two_cross_ratios(capsys, tmp_path):
 
 
 def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
-    # eval-multi-92 needs 29 recursion nodes to evaluate and 335 to trace (332
-    # before the memo dropped the relabelling-invariant key)
+    # eval-multi-92 needs 36 recursion nodes to evaluate and 342 to trace (332
+    # before the memo dropped the relabelling-invariant key, 29 and 335 before
+    # the most shared cross-ratio went first)
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "eval_multi.json"
     shape = next(s for s in json.loads(golden.read_text())["shapes"] if s["id"] == "eval-multi-92")
     document = _instance_document(
@@ -123,10 +124,10 @@ def test_budget_error_can_follow_streamed_trace_lines(capsys, tmp_path):
     code, full, err = run(capsys, "eval", "--trace", path)
     assert (code, err, full.splitlines()[-1]) == (0, "", str(shape["count"]))
     trace = full[: full.rindex("\n", 0, -1) + 1]
-    assert run(capsys, "eval", "--trace", "--max-nodes", "335", path) == (0, full, "")
-    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "334", path)
+    assert run(capsys, "eval", "--trace", "--max-nodes", "342", path) == (0, full, "")
+    code, out, err = run(capsys, "eval", "--trace", "--max-nodes", "341", path)
     assert code == 1
-    assert err.startswith("error: more than 334 recursion nodes ")
+    assert err.startswith("error: more than 341 recursion nodes ")
     assert err.count("\n") == 1
     assert 0 < len(out) < len(trace)
     assert trace.startswith(out)
@@ -252,7 +253,10 @@ def test_deeply_nested_document_is_rejected(capsys, tmp_path, command):
 
 
 def _cross_ratio_chain(r: int) -> dict:
-    """A valid instance whose recursion nests one level per cross-ratio (1 2 L_i L_i+1)."""
+    """A valid instance whose evaluation nests deeper with each cross-ratio (1 2 L_i L_i+1).
+
+    It reaches 1.5 r + 11 frames below ``Engine.evaluate`` at r = 20..100.
+    """
     degree = (r + 21) // 3
     return {
         "schema": "instance/1",
@@ -264,10 +268,12 @@ def _cross_ratio_chain(r: int) -> dict:
 
 
 def test_recursion_deeper_than_the_stack_is_one_error_line(capsys, tmp_path):
-    # At the default limit 340 cross-ratios at degree 120 overflow the stack
-    # after 3.4 s; a limit 100 frames above this one overflows on 40 of them.
+    # At the default limit 340 cross-ratios at degree 120 overflowed the stack
+    # after 3.4 s while the last cross-ratio went first; now they nest about
+    # 520 frames and answer after 67 s.  A limit 100 frames above this one
+    # overflows on 80 of them (on 40 until the most shared went first).
     chain = tmp_path / "chain.json"
-    chain.write_text(json.dumps(_cross_ratio_chain(40)))
+    chain.write_text(json.dumps(_cross_ratio_chain(80)))
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back

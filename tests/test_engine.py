@@ -588,22 +588,26 @@ def test_side_rows_match_the_built_sub_instances_on_the_golden_shapes(shape):
 
 # Engine()._nodes after evaluate, as recorded once every class was resolved
 # from its rows (1,287 classes before the zero-orbit skip, 704 after it, 716
-# before the free-end rule, 677 before the free-end term skip, 526 now).
+# before the free-end rule, 677 before the free-end term skip, 526 before the
+# most shared cross-ratio went first, 509 now: eval-multi-1 26 -> 21, -14
+# 20 -> 21, -19 38 -> 32, -37 55 -> 41, -92 29 -> 36).
 GOLDEN_NODES = {
-    "eval-multi-1": 26, "eval-multi-36": 10, "eval-multi-14": 20, "eval-multi-12": 32,
-    "eval-multi-19": 38, "eval-multi-43": 9, "eval-multi-37": 55, "eval-multi-72": 8,
+    "eval-multi-1": 21, "eval-multi-36": 10, "eval-multi-14": 21, "eval-multi-12": 32,
+    "eval-multi-19": 32, "eval-multi-43": 9, "eval-multi-37": 41, "eval-multi-72": 8,
     "eval-multi-40": 70, "eval-multi-5": 26, "eval-multi-67": 48, "eval-multi-4": 65,
-    "eval-multi-48": 39, "eval-multi-92": 29, "eval-multi-110": 9, "eval-multi-2": 42,
+    "eval-multi-48": 39, "eval-multi-92": 36, "eval-multi-110": 9, "eval-multi-2": 42,
 }
 
-# Engine()._terms after evaluate, the orbit terms summed (766 in all, 1,071
-# before the free-end rule, 996 before the free-end term skip): a change to
-# the default choice, to the zero-orbit skip or to the free-end rule shows up here.
+# Engine()._terms after evaluate, the orbit terms summed (736 in all, 1,071
+# before the free-end rule, 996 before the free-end term skip, 766 before the
+# most shared cross-ratio went first: eval-multi-14 21 -> 22, -19 48 -> 41,
+# -37 83 -> 52, -40 100 -> 102, -5 25 -> 24, -92 22 -> 28): a change to the
+# default choice, to the zero-orbit skip or to the free-end rule shows up here.
 GOLDEN_TERMS = {
-    "eval-multi-1": 20, "eval-multi-36": 8, "eval-multi-14": 21, "eval-multi-12": 58,
-    "eval-multi-19": 48, "eval-multi-43": 7, "eval-multi-37": 83, "eval-multi-72": 8,
-    "eval-multi-40": 100, "eval-multi-5": 25, "eval-multi-67": 67, "eval-multi-4": 148,
-    "eval-multi-48": 79, "eval-multi-92": 22, "eval-multi-110": 4, "eval-multi-2": 68,
+    "eval-multi-1": 20, "eval-multi-36": 8, "eval-multi-14": 22, "eval-multi-12": 58,
+    "eval-multi-19": 41, "eval-multi-43": 7, "eval-multi-37": 52, "eval-multi-72": 8,
+    "eval-multi-40": 102, "eval-multi-5": 24, "eval-multi-67": 67, "eval-multi-4": 148,
+    "eval-multi-48": 79, "eval-multi-92": 28, "eval-multi-110": 4, "eval-multi-2": 68,
 }
 
 
@@ -617,7 +621,7 @@ def test_node_count_is_pinned_on_the_golden_shapes(shape):
 
 def test_golden_term_pins_sum_to_the_pass_total():
     assert set(GOLDEN_TERMS) == set(GOLDEN_NODES) == {s["id"] for s in golden_eval_multi_shapes()}
-    assert sum(GOLDEN_TERMS.values()) == 766
+    assert sum(GOLDEN_TERMS.values()) == 736
 
 
 # Engine()._nodes of the family at d = 2..5, by line weights: 2 d + 1 for
@@ -637,13 +641,14 @@ def test_node_count_is_pinned_on_the_family(degree, weights):
 def test_trace_values_the_classes_the_evaluation_skips():
     # The trace walks the orbits the evaluation skips too, and resolves each
     # node by its labels, valuing the classes it meets lazily: eval-multi-92
-    # values 29 classes, its trace 335 (122 and 400 before the free-end rule,
-    # 93 and 371 before the free-end term skip, 332 before the exact-rows memo).
+    # values 36 classes, its trace 342 (122 and 400 before the free-end rule,
+    # 93 and 371 before the free-end term skip, 332 before the exact-rows memo,
+    # 29 and 335 before the most shared cross-ratio went first).
     shape = next(s for s in golden_eval_multi_shapes() if s["id"] == "eval-multi-92")
     engine = Engine()
     lines = list(engine.trace(golden_instance(shape)))
     assert lines[-1] == f"  = {shape['count']}"
-    assert engine._nodes == 335
+    assert engine._nodes == 342
 
 
 def _zero_by_its_node(sub: Instance) -> bool:
@@ -793,8 +798,9 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order():
     frontier = multi(7, 6)
     engine = Engine()
     assert engine.evaluate(frontier) == 1_994_058
-    # the free-end rule values 23 classes 0 at their node (20 before the exact-rows memo)
-    assert engine._hall_zeros == 23
+    # the free-end rule values 21 classes 0 at their node (20 before the
+    # exact-rows memo, 23 before the most shared cross-ratio went first)
+    assert engine._hall_zeros == 21
     sample = _free_end_sample(60, seed=7)
     counts = [evaluate(inst) for inst in sample]
     with resolved_in_reverse() as calls:
@@ -807,13 +813,15 @@ def test_counts_hold_with_every_node_resolved_in_reverse_order():
 
 def test_multi_past_six_cross_ratios_is_pinned_where_its_checks_agree():
     # The seventh and eighth cross-ratios hold points 14 and 15, so they
-    # need d >= 8.  multi(8, 7) counted the same under all 21 root choices
-    # of the battery and with every node resolved in reverse order.
+    # need d >= 8.  multi(8, 7) and multi(9, 7) each counted the same under
+    # all 21 root choices of the battery and with every node resolved in
+    # reverse order.
     assert all(map(validate, (multi(8, 7), multi(8, 8), multi(9, 8))))
     assert evaluate(multi(8, 7)) == 53_513_628
+    assert evaluate(multi(9, 7)) == 37_095_756_592
 
 
-@pytest.mark.parametrize("reverse, nodes", [(False, 502), (True, 429)])
+@pytest.mark.parametrize("reverse, nodes", [(False, 352), (True, 510)])
 def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # multi(8, 4); the count was recorded before the exact-rows memo and the
     # count-only orbit kernel, the node counts once every class was resolved
@@ -822,12 +830,14 @@ def test_frontier_count_and_node_count_are_pinned(reverse, nodes):
     # (606 and 535 nodes, 4,321 and 5,050 terms before the free-end rule;
     # 591 and 533 nodes, 4,213 and 4,954 terms before the free-end term skip;
     # 484 and 414 nodes, 3,538 and 3,719 terms before the memo dropped the
-    # relabelling-invariant key).  The free-end rule values 7 classes 0 at
-    # their node forward, none in reverse: the pin where that step fires.
+    # relabelling-invariant key; 502 and 429 nodes, 3,610 and 3,796 terms, 7
+    # and 0 free-end zeros before the most shared cross-ratio went first).
+    # The free-end rule values 3 classes 0 at their node forward, 4 in
+    # reverse: the pin where that step fires.
     engine = Engine()
     with resolved_in_reverse() if reverse else contextlib.nullcontext():
         assert engine.evaluate(multi(8, 4)) == 197_523_577_376
-    terms, zeros = (3_796, 0) if reverse else (3_610, 7)
+    terms, zeros = (3_310, 4) if reverse else (2_803, 3)
     assert (engine._nodes, engine._terms, engine._hall_zeros) == (nodes, terms, zeros)
 
 
@@ -856,7 +866,7 @@ def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch
     # off, by its splits.  The distinct free rows of a class the node rule
     # asks about number at most 3 on these shapes.
     shapes = golden_eval_multi_shapes()
-    instances = [*map(golden_instance, shapes), multi(7, 6), multi(8, 4)]
+    instances = [*map(golden_instance, shapes), multi(7, 6), multi(8, 4), multi(9, 5)]
     instances += _free_end_sample(60, seed=7)
     valued, free_rows = [], set()  # (degree, rows) of each class the rule valued 0; free rows met
     degrees = []  # of the classes being valued, innermost last
@@ -888,7 +898,7 @@ def test_classes_the_free_end_rule_values_zero_count_zero_without_it(monkeypatch
             valued += dropped.values()
             dropped.clear()
     assert counts[: len(shapes)] == [shape["count"] for shape in shapes]
-    assert counts[len(shapes) : len(shapes) + 2] == [1_994_058, 197_523_577_376]
+    assert counts[len(shapes) : len(shapes) + 3] == [1_994_058, 197_523_577_376, 13_376_872_182_432]
     assert len(valued) > 500 and max(free_rows) == 3
     monkeypatch.setattr("crosskont.engine._fails_hall", lambda rows: False)
     monkeypatch.setattr(engine_module, "_vanishes", _vanishes_by_lone_ends)
@@ -933,9 +943,11 @@ def test_hall_matching_agrees_with_the_subset_loop(monkeypatch):
     spy = lambda rows: asked.append(rows) or fails_hall(rows)
     monkeypatch.setattr(engine_module, "_fails_hall", spy)
     _, dropped = _spy_on_the_term_skip(monkeypatch)
-    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(8, 4), multi(7, 6)]
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(8, 4), multi(7, 6), multi(9, 5)]
     for inst in [*roots, *_free_end_sample(60, seed=7)]:
         evaluate(inst)
+    with resolved_in_reverse():
+        evaluate(multi(8, 4))
     asked += [rows for _, rows in dropped.values()]
     rng = random.Random(5)
     random_rows = [_random_free_rows(rng) for _ in range(3_000)]
@@ -1044,11 +1056,14 @@ def test_instances_with_over_determined_free_ends_count_zero_without_the_rule(mo
     assert all(count == 0 for count, flag in zip(counts, flagged) if flag)
 
 
-def _eager_choices(columns, row, points):
-    """Reference listing of the resolution choices: every column listed and sorted up front."""
+def _eager_choices(columns, row, points, order=None):
+    """Reference listing of the resolution choices: every column listed and sorted up front.
+
+    The columns come in ``order``, by default the last one first.
+    """
     line, free = KIND_RANK[LINE], KIND_RANK[FREE]
     full = [j for j, column in enumerate(columns) if all(row(x)[0] == line for x in column)]
-    for last in range(len(columns) - 1, -1, -1):
+    for last in range(len(columns) - 1, -1, -1) if order is None else order:
         entries = columns[last]
         ranks, _, vecs = zip(*map(row, entries))
         tied = lambda a, b: any(j != last and vecs[a][j] and vecs[b][j] for j in full)
@@ -1062,16 +1077,24 @@ def _eager_choices(columns, row, points):
 
 
 def _eager_row_choices(rows):
+    """Reference for ``_row_choices``: the most shared column first, ties to the last one.
+
+    A column's share adds, over its four entry rows, the other columns
+    holding the row.
+    """
     width = len(next(iter(rows))[2])
     listed = [sorted(r for r, n in rows.items() if r[2][j] for _ in range(n)) for j in range(width)]
+    shares = [sum(sum(vec) - 1 for _, _, vec in column) for column in listed]
+    order = sorted(range(width), key=lambda j: (-shares[j], -j))
     points = any(rank == KIND_RANK[POINT] for rank, _, _ in rows)
-    return _eager_choices([(a, c, b, d) for a, b, c, d in listed], lambda row: row, points)
+    return _eager_choices([(a, c, b, d) for a, b, c, d in listed], lambda row: row, points, order)
 
 
 def test_lazy_choices_list_what_the_eager_listing_did(monkeypatch):
     # Every row set the engine resolves, with points (golden shapes,
-    # multi(7, 6)) and without (the free-end sample), lists the same choices
-    # in the same order: the reverse-order check reads the whole list.
+    # multi(7, 6), multi(8, 4) both ways, multi(9, 5)) and without (the
+    # free-end sample), lists the same choices in the same order: the
+    # reverse-order check reads the whole list.
     resolved = []
     row_choices = engine_module._row_choices
 
@@ -1080,9 +1103,11 @@ def test_lazy_choices_list_what_the_eager_listing_did(monkeypatch):
         return row_choices(rows)
 
     monkeypatch.setattr(engine_module, "_row_choices", recording)
-    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6)]
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6), multi(8, 4), multi(9, 5)]
     for inst in [*roots, *_free_end_sample(60, seed=7)]:
         Engine().evaluate(inst)
+    with resolved_in_reverse():  # the classes only the last choices reach
+        Engine().evaluate(multi(8, 4))
     no_points = [rows for rows in resolved if all(rank != KIND_RANK[POINT] for rank, _, _ in rows)]
     assert len(resolved) > 3_000 and len(no_points) > 100
     for rows in resolved:
@@ -1238,3 +1263,53 @@ def test_reordered_cross_ratios_count_the_same(shape):
     assert engine.evaluate(inst) == shape["count"]
     for listing in (inst.crossratios[::-1], inst.crossratios[1:] + inst.crossratios[:1]):
         assert engine.evaluate(Instance(inst.degree, inst.conditions, listing)) == shape["count"]
+
+
+def _shares(rows) -> list[int]:
+    """Per cross-ratio of a class, the labels it shares with each other cross-ratio, summed."""
+    vecs = [vec for (_, _, vec), n in rows.items() for _ in range(n)]  # one per label
+    width = len(vecs[0])
+    return [sum(v[i] and v[j] for v in vecs for i in range(width) if i != j) for j in range(width)]
+
+
+def test_each_class_resolves_a_most_shared_cross_ratio_first(monkeypatch):
+    # Of those it may resolve: without points, those with an admissible line
+    # pair.  Ties go to the last one listed, the order that held before the share.
+    chosen = []
+    orbit_sum = Engine._orbit_sum
+
+    def spy(self, degree, rows, choice):
+        chosen.append((rows, choice[0]))
+        return orbit_sum(self, degree, rows, choice)
+
+    monkeypatch.setattr(Engine, "_orbit_sum", spy)
+    roots = [*map(golden_instance, golden_eval_multi_shapes()), multi(7, 6)]
+    for inst in [*roots, *_free_end_sample(10, seed=7)]:
+        Engine().evaluate(inst)
+    moved = 0
+    for rows, last in chosen:
+        shares = _shares(rows)
+        offered = {j for j, _, _ in engine_module._row_choices(rows)}
+        best = max(shares[j] for j in offered)
+        assert last == max(j for j in offered if shares[j] == best)
+        moved += last != max(offered)
+    assert len(chosen) > 1_000 and moved > 200
+
+
+@pytest.mark.parametrize("shape", golden_eval_multi_shapes(), ids=lambda shape: shape["id"])
+def test_the_root_resolves_the_same_cross_ratio_in_reverse_listing(shape):
+    # The order is read off the rows, so reversing the listing moves the
+    # root's choice only where the most shared cross-ratio is tied (9 of the
+    # 16 shapes), from the last tied one to the first.  The classes below may
+    # still differ: the pairing sorts rows, and their membership columns
+    # move with the listing.
+    inst = golden_instance(shape)
+    flipped = Instance(inst.degree, inst.conditions, inst.crossratios[::-1])
+    picked = []
+    for each in inst, flipped:
+        rows = label_rows(each)
+        picked.append(each.crossratios[next(engine_module._row_choices(rows))[0]])
+    shares = _shares(label_rows(inst))
+    tied = [cr for cr, share in zip(inst.crossratios, shares) if share == max(shares)]
+    assert picked == [tied[-1], tied[0]]
+    assert Engine().evaluate(flipped) == shape["count"]

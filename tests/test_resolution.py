@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import time
 import tracemalloc
@@ -335,6 +336,39 @@ def test_empty_profile_counts_one():
 def test_duplicate_quadruples_cannot_resolve():
     prof = profile([1, 2, 3, 4, 5], [[1, 2, 3, 4], [1, 2, 3, 4]])
     assert cross_ratio_multiplicity(prof) == 0
+
+
+@given(scattered_profiles(), st.data())
+def test_a_repeated_cross_ratio_counts_zero(prof_data, data):
+    # Two cross-ratios on the same four slots: the count values the profile 0
+    # before resolving anything, and the trees, which have no such test, agree.
+    slots, crs = prof_data
+    i, j = data.draw(st.lists(st.integers(0, len(crs)), min_size=2, max_size=2, unique=True))
+    crs = [*crs, crs[0]]  # one cross-ratio more needs one slot more
+    crs[j] = crs[i]
+    prof = VertexProfile.of([*slots, max(slots) + 1], crs)
+    with mock.patch.object(resolution, "_sides", wraps=resolution._sides) as spy:
+        assert cross_ratio_multiplicity(prof) == 0
+    assert spy.call_count == 0
+    assert len(total_resolutions(prof)) == 0
+
+
+def test_the_count_resolves_a_most_shared_cross_ratio_first():
+    # A cross-ratio's share adds, over its slots, the cross-ratios holding the
+    # slot; ties go to the first one listed.  The kernel's free positions are
+    # the ranks off the resolved cross-ratio.
+    moved = 0
+    for shape in golden_multcr_shapes():
+        slots, crs = shape["slots"], shape["crossratios"]
+        with mock.patch.object(resolution, "_sides", wraps=resolution._sides) as spy:
+            cross_ratio_multiplicity(VertexProfile.of(slots, crs))
+        free = spy.call_args_list[0].args[1]
+        resolved = {slot for p, slot in enumerate(sorted(slots)) if p not in free}
+        held = collections.Counter(slot for cr in crs for slot in cr)
+        shares = [sum(map(held.get, cr)) for cr in crs]
+        assert resolved == set(crs[shares.index(max(shares))]), shape["id"]
+        moved += shares[0] < max(shares)
+    assert moved >= 7
 
 
 def test_order_must_name_every_cross_ratio():
